@@ -23,10 +23,8 @@ import numpy as np
 from .csvio import error_to_csv, samples_from_csv, samples_to_csv
 from .csvio import error_from_csv
 from .error_envelopes import (
-    AlphaConfig,
     PowerErrorSpec,
     absolutely_subadditive_envelope,
-    default_mass_radius,
     power_error,
     subadditive_envelope,
 )
@@ -51,18 +49,16 @@ from .grid import (
     PreconditionError,
     SampledFn,
     Witness,
+    check_tolerance,
     is_phi_holder,
     is_phi_monotone,
+    offsets_table,
 )
 from .individual import individual_alpha, individual_sigma
 from .variation import jordan_decompose, total_phi_variation
 
 TOL_ENV_VAR = "APPROXMONO_TOL"
 
-ALPHA_NOTE = (
-    "signed-part minimization is exact for any mass radius at or above the "
-    "largest table offset; larger radii cannot increase the values"
-)
 BRACKET_BOUNDARY_NOTE = (
     "lower[0] and upper[-1] copy the input because the strict one-sided "
     "ranges are empty there; companion membership holds away from those nodes"
@@ -190,14 +186,6 @@ def _build_parser() -> _Parser:
             default=None,
             help=f"additive check tolerance (default 1e-9, or ${TOL_ENV_VAR})",
         )
-        sp.add_argument(
-            "--mass-radius",
-            dest="mass_radius",
-            type=int,
-            default=None,
-            help="cap on accumulated offset index for signed-part envelopes "
-            "(default 4*(N-1))",
-        )
         sp.add_argument("--anchor", type=int, default=0, help="start node index")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--output", default=None, help="output path (default stdout)")
@@ -235,9 +223,7 @@ def _resolve_tolerance(args) -> float:
     else:
         env = os.environ.get(TOL_ENV_VAR)
         tol = float(env) if env is not None else DEFAULT_TOL
-    if tol < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
-    return tol
+    return check_tolerance(tol)
 
 
 def _load_samples(path: str, report: RunReport) -> SampledFn:
@@ -250,13 +236,6 @@ def _resolve_error(
     spec = ErrorSpec.parse(spec_text)
     report.parameters[label] = spec_text
     return spec.realize(grid, report)
-
-
-def _alpha_config(args, count: int, tol: float, report: RunReport) -> AlphaConfig:
-    radius = args.mass_radius if args.mass_radius is not None else default_mass_radius(count)
-    report.parameters["mass_radius"] = radius
-    report.parameters["alpha_note"] = ALPHA_NOTE
-    return AlphaConfig(mass_radius=radius, tolerance=tol)
 
 
 def _cmd_check(args, report):
@@ -281,7 +260,7 @@ def _cmd_envelope_error(args, report):
         out = subadditive_envelope(phi)
     else:
         out = absolutely_subadditive_envelope(
-            phi, _alpha_config(args, len(phi), tol, report)
+            ErrorFn(phi.grid_step, offsets_table(f, phi))
         )
     return 0, [_error_section("envelope", out)], False
 
@@ -295,9 +274,8 @@ def _cmd_envelope(args, report):
         op = monotone_lower_envelope if args.side == "lower" else monotone_upper_envelope
         out = op(f, phi)
     else:
-        cfg = _alpha_config(args, f.grid.count, tol, report)
         op = holder_lower_envelope if args.side == "lower" else holder_upper_envelope
-        out = op(f, phi, cfg)
+        out = op(f, phi)
     return 0, [_samples_section("envelope", out)], False
 
 
@@ -310,8 +288,7 @@ def _cmd_sandwich(args, report):
     if args.mode == "monotone":
         fn, witness = monotone_sandwich(g, h, phi, tol)
     else:
-        cfg = _alpha_config(args, g.grid.count, tol, report)
-        fn, witness = holder_sandwich(g, h, phi, cfg)
+        fn, witness = holder_sandwich(g, h, phi, tol)
     if fn is None:
         report.witnesses.append(witness)
         return 2, [Section("sandwich", "", {"feasible": False})], True
@@ -329,8 +306,7 @@ def _cmd_bracket(args, report):
             report.parameters["boundary_note"] = BRACKET_BOUNDARY_NOTE
             pair = monotone_bracket(f, phi, psi, tol)
         else:
-            cfg = _alpha_config(args, f.grid.count, tol, report)
-            pair = holder_bracket(f, phi, psi, cfg)
+            pair = holder_bracket(f, phi, psi, tol)
     except PreconditionError as exc:
         if exc.witness is None:
             raise

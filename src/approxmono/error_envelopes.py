@@ -18,10 +18,10 @@ import numpy as np
 
 from .grid import (
     DEFAULT_TOL,
-    ConfigurationError,
     ErrorFn,
     Witness,
     WitnessKind,
+    check_tolerance,
 )
 
 
@@ -37,36 +37,6 @@ class PowerErrorSpec:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not math.isfinite(self.p):
             raise ValueError(f"exponent must be finite, got {self.p}")
-
-
-@dataclass(frozen=True)
-class AlphaConfig:
-    """Controls for the signed shortest-path envelope.
-
-    ``mass_radius`` caps the accumulated offset index while composing signed
-    parts; it must be at least the largest offset of the table it is used on.
-    ``tolerance`` is the additive slack used by feasibility checks that ride
-    on the envelope.
-    """
-
-    mass_radius: int
-    tolerance: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if int(self.mass_radius) != self.mass_radius or self.mass_radius < 1:
-            raise ConfigurationError(
-                f"mass_radius must be a positive integer, got {self.mass_radius}"
-            )
-        object.__setattr__(self, "mass_radius", int(self.mass_radius))
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ConfigurationError(
-                f"tolerance must be finite and >= 0, got {self.tolerance}"
-            )
-
-
-def default_mass_radius(count: int) -> int:
-    """Default accumulated-offset cap for a table with ``count`` offsets."""
-    return 4 * (count - 1)
 
 
 def power_error(spec: PowerErrorSpec, step: float, count: int) -> ErrorFn:
@@ -89,8 +59,7 @@ def is_subadditive(
     phi: ErrorFn, tol: float = DEFAULT_TOL
 ) -> tuple[bool, Witness | None]:
     """Check phi[j+k] <= phi[j] + phi[k] + tol for all j, k >= 0, j+k < N."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tolerance(tol)
     v = phi.values
     n = len(v)
     best_margin = tol
@@ -118,20 +87,21 @@ def is_absolutely_subadditive(
     Signed index pairs with |j|, |k|, |j+k| all below the table length are
     examined; by the (j, k) -> (-j, -k) symmetry only j >= 0 is scanned.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tolerance(tol)
     v = phi.values
     n = len(v)
+    # sym[n-1+k] = v[|k|], so for k = -(n-1)..n-1-j the terms v[|j+k|] and
+    # v[|k|] are contiguous slices
+    sym = np.concatenate([v[:0:-1], v])
     best_margin = tol
     best: tuple[int, int] | None = None
     for j in range(n):
-        ks = np.arange(-(n - 1), n - j)
-        margins = v[np.abs(j + ks)] - v[j] - v[np.abs(ks)]
+        margins = sym[j : 2 * n - 1] - v[j] - sym[: 2 * n - 1 - j]
         pos = int(np.argmax(margins))
         m = float(margins[pos])
         if m > best_margin:
             best_margin = m
-            best = (j, int(ks[pos]))
+            best = (j, pos - (n - 1))
     if best is None:
         return True, None
     j, k = best
@@ -160,81 +130,53 @@ def subadditive_envelope(phi: ErrorFn) -> ErrorFn:
     return ErrorFn(phi.grid_step, env)
 
 
-def _lattice_shortest_paths(costs: np.ndarray, mass_radius: int) -> np.ndarray:
-    """Distances from 0 on the lattice {-M..M} with edges +-j of cost[j].
+def _lattice_shortest_paths(costs: np.ndarray) -> np.ndarray:
+    """Distances from 0 on the lattice {-(N-1)..N-1} with edges +-j of cost[j].
 
-    Label-setting search over nonnegative costs; zero-cost edges are fine.
-    Heap entries are (distance, node) so ties settle by node index, making
-    the computation deterministic.  Stops once all nonnegative targets
-    0..len(costs)-1 are settled.
+    N is the table length.  The lattice is symmetric under x -> -x, so the
+    search runs on its fold onto 0..N-1, where u reaches v at cost
+    ``min(cost[|v-u|], cost[u+v])`` (the second term while u+v <= N-1).
+    Label-setting over nonnegative costs; zero-cost edges are fine.  Heap
+    entries are (distance, node) so ties settle by node index, making the
+    computation deterministic.
     """
     n = len(costs)
-    steps = costs[1:]
-    nstep = n - 1
-    size = 2 * mass_radius + 1
-    src = mass_radius
-    dist = np.full(size, np.inf)
-    dist[src] = 0.0
-    settled = np.zeros(size, dtype=bool)
-    heap: list[tuple[float, int]] = [(0.0, src)]
-    pending = n
-    while heap and pending:
+    dist = np.full(n, np.inf)
+    dist[0] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, 0)]
+    cand = np.empty(n)
+    while heap:
         du, u = heapq.heappop(heap)
-        if settled[u] or du > dist[u]:
+        if du > dist[u]:
             continue
-        settled[u] = True
-        if src <= u < src + n:
-            pending -= 1
-        hi = min(u + nstep, size - 1)
-        if hi > u:
-            m = hi - u
-            seg = dist[u + 1 : hi + 1]
-            cand = du + steps[:m]
-            mask = cand < seg
-            if mask.any():
-                seg[mask] = cand[mask]
-                for off in np.nonzero(mask)[0].tolist():
-                    heapq.heappush(heap, (float(cand[off]), u + 1 + off))
-        lo = max(u - nstep, 0)
-        if lo < u:
-            m = u - lo
-            seg = dist[lo:u]
-            cand = du + steps[:m][::-1]
-            mask = cand < seg
-            if mask.any():
-                seg[mask] = cand[mask]
-                for off in np.nonzero(mask)[0].tolist():
-                    heapq.heappush(heap, (float(cand[off]), lo + off))
+        cand[u:] = costs[: n - u]
+        cand[:u] = costs[u:0:-1]
+        np.minimum(cand[: n - u], costs[u:], out=cand[: n - u])
+        cand += du
+        mask = cand < dist
+        if mask.any():
+            dist[mask] = cand[mask]
+            for v in np.nonzero(mask)[0].tolist():
+                heapq.heappush(heap, (float(cand[v]), v))
     return dist
 
 
-def absolutely_subadditive_envelope(
-    phi: ErrorFn, cfg: AlphaConfig | None = None
-) -> ErrorFn:
+def absolutely_subadditive_envelope(phi: ErrorFn) -> ErrorFn:
     """Largest absolutely subadditive minorant of the table.
 
     ``out[k]`` is the cheapest multiset of signed offsets summing to k, each
-    offset below the table length in magnitude, paying the table value of the
-    magnitude for every part.  Computed as a shortest path on the integer
-    lattice capped at ``cfg.mass_radius`` accumulated offset; any multiset
-    can be reordered so its running sums stay within the largest offset, so
-    the result is already exact at the minimal legal radius and can only
-    stay equal or shrink as the radius grows.
+    offset below the table length N in magnitude, paying the table value of
+    the magnitude for every part.  Computed as a shortest path on the integer
+    lattice {-(N-1)..N-1}; that is exact, because any multiset can be
+    reordered so its running sums stay within the largest offset.
 
     The output is dominated by `subadditive_envelope` pointwise, and the two
     coincide whenever the input is nondecreasing.
     """
     v = phi.values
-    n = len(v)
-    mass_radius = cfg.mass_radius if cfg is not None else default_mass_radius(n)
-    if mass_radius < n - 1:
-        raise ConfigurationError(
-            f"mass_radius {mass_radius} is below the largest table offset {n - 1}"
-        )
-    dist = _lattice_shortest_paths(v, mass_radius)
-    out = dist[mass_radius : mass_radius + n].copy()
+    out = _lattice_shortest_paths(v)
     # offset 0 needs at least one part: either the literal 0-offset entry or
     # a closing step back from a reachable node
-    cycle = float((dist[mass_radius + 1 : mass_radius + n] + v[1:]).min())
+    cycle = float((out[1:] + v[1:]).min())
     out[0] = min(float(v[0]), cycle)
     return ErrorFn(phi.grid_step, out)

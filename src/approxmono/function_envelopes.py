@@ -19,12 +19,12 @@ from .grid import (
     SampledFn,
     Witness,
     WitnessKind,
+    check_tolerance,
     is_phi_holder,
     is_phi_monotone,
     offsets_table,
 )
 from .error_envelopes import (
-    AlphaConfig,
     absolutely_subadditive_envelope,
     subadditive_envelope,
 )
@@ -45,13 +45,28 @@ class BracketPair:
 
 
 def _sigma_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
-    offsets_table(f, phi)
-    return subadditive_envelope(phi).values
+    return subadditive_envelope(ErrorFn(phi.grid_step, offsets_table(f, phi))).values
 
 
-def _alpha_table(f: SampledFn, phi: ErrorFn, cfg: AlphaConfig | None) -> np.ndarray:
-    offsets_table(f, phi)
-    return absolutely_subadditive_envelope(phi, cfg).values
+def _alpha_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
+    return absolutely_subadditive_envelope(
+        ErrorFn(phi.grid_step, offsets_table(f, phi))
+    ).values
+
+
+def _shifted_extremum(v: np.ndarray, alpha: np.ndarray, lower: bool) -> np.ndarray:
+    """``min over j of v[j] + alpha[|j-i|]`` for every node i, or with
+    ``lower=False`` ``max over j of v[j] - alpha[|j-i|]``.
+
+    Row i of ``alpha[|j-i|]`` is a contiguous slice of the mirrored table.
+    """
+    n = len(v)
+    sym = np.concatenate([alpha[:0:-1], alpha])
+    out = np.empty(n)
+    for i in range(n):
+        row = sym[n - 1 - i : 2 * n - 1 - i]
+        out[i] = (v + row).min() if lower else (v - row).max()
+    return out
 
 
 def _require_zero_at_origin(phi: ErrorFn) -> None:
@@ -93,38 +108,22 @@ def monotone_upper_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     return SampledFn(f.grid, out)
 
 
-def holder_lower_envelope(
-    f: SampledFn, phi: ErrorFn, cfg: AlphaConfig | None = None
-) -> SampledFn:
+def holder_lower_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     """Largest Hölder-within-phi function below f.
 
     ``out[i] = min over all j of f[j] + alpha[|j-i|]`` with alpha the
     absolutely subadditive envelope.  Requires the table to vanish at 0.
     """
     _require_zero_at_origin(phi)
-    alpha = _alpha_table(f, phi, cfg)
-    v = f.values
-    n = len(v)
-    ar = np.arange(n)
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = (v + alpha[np.abs(ar - i)]).min()
-    return SampledFn(f.grid, out)
+    alpha = _alpha_table(f, phi)
+    return SampledFn(f.grid, _shifted_extremum(f.values, alpha, lower=True))
 
 
-def holder_upper_envelope(
-    f: SampledFn, phi: ErrorFn, cfg: AlphaConfig | None = None
-) -> SampledFn:
+def holder_upper_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     """Smallest Hölder-within-phi function above f."""
     _require_zero_at_origin(phi)
-    alpha = _alpha_table(f, phi, cfg)
-    v = f.values
-    n = len(v)
-    ar = np.arange(n)
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = (v - alpha[np.abs(ar - i)]).max()
-    return SampledFn(f.grid, out)
+    alpha = _alpha_table(f, phi)
+    return SampledFn(f.grid, _shifted_extremum(f.values, alpha, lower=False))
 
 
 def monotone_sandwich(
@@ -137,7 +136,8 @@ def monotone_sandwich(
     satisfies g <= f <= h (within tol).  On infeasibility the maximal
     violating pair is returned instead.
     """
-    if g.grid != h.grid:
+    check_tolerance(tol)
+    if not g.grid.compatible(h.grid):
         raise DimensionMismatchError("sandwich bounds must share one grid")
     _require_zero_at_origin(phi)
     sig = _sigma_table(g, phi)
@@ -161,36 +161,30 @@ def monotone_sandwich(
 
 
 def holder_sandwich(
-    g: SampledFn, h: SampledFn, phi: ErrorFn, cfg: AlphaConfig | None = None
+    g: SampledFn, h: SampledFn, phi: ErrorFn, tol: float = DEFAULT_TOL
 ) -> tuple[SampledFn | None, Witness | None]:
     """Hölder analog of `monotone_sandwich`, over all node pairs.
 
-    Feasible exactly when ``g[i] <= h[j] + alpha[|j-i|]`` for every pair;
-    returns the Hölder lower envelope of h on success.
+    Feasible exactly when ``g[i] <= h[j] + alpha[|j-i|]`` for every pair,
+    that is when g lies below the Hölder lower envelope of h (within tol),
+    which is then returned.  On infeasibility the maximal violating pair is
+    returned instead.
     """
-    if g.grid != h.grid:
+    check_tolerance(tol)
+    if not g.grid.compatible(h.grid):
         raise DimensionMismatchError("sandwich bounds must share one grid")
     _require_zero_at_origin(phi)
-    tol = cfg.tolerance if cfg is not None else DEFAULT_TOL
-    alpha = _alpha_table(g, phi, cfg)
+    alpha = _alpha_table(h, phi)
     gv, hv = g.values, h.values
-    n = len(gv)
-    ar = np.arange(n)
-    best_margin = tol
-    best: tuple[int, int] | None = None
-    for i in range(n):
-        margins = gv[i] - hv - alpha[np.abs(ar - i)]
-        j = int(np.argmax(margins))
-        m = float(margins[j])
-        if m > best_margin:
-            best_margin = m
-            best = (i, j)
-    if best is not None:
-        i, j = best
-        lhs = float(gv[i])
+    env = _shifted_extremum(hv, alpha, lower=True)
+    margins = gv - env
+    i = int(np.argmax(margins))
+    if float(margins[i]) > tol:
+        n = len(hv)
+        j = int(np.argmin(hv + alpha[np.abs(np.arange(n) - i)]))
         rhs = float(hv[j] + alpha[abs(j - i)])
-        return None, Witness(WitnessKind.SANDWICH, (i, j), lhs, rhs)
-    return holder_lower_envelope(h, phi, cfg), None
+        return None, Witness(WitnessKind.SANDWICH, (i, j), float(gv[i]), rhs)
+    return SampledFn(h.grid, env), None
 
 
 def _check_neg_table_monotone(
@@ -236,14 +230,14 @@ def monotone_bracket(
     the phi-monotone check, and the negated table passes the psi-monotone
     check on positive offsets.
     """
-    offsets_table(f, phi)
+    check_tolerance(tol)
     offsets_table(f, psi)
     n = f.grid.count
     ok, w = is_phi_monotone(f, phi, tol)
     if not ok:
         raise PreconditionError("function is not monotone within the error table", w)
     _check_neg_table_monotone(phi, psi, n, tol)
-    sig = subadditive_envelope(phi).values
+    sig = _sigma_table(f, phi)
     v = f.values
     lower = np.empty(n)
     upper = np.empty(n)
@@ -267,11 +261,11 @@ def _check_folded_table_holder(
     """
     pv = phi.values
     sv = psi.values
-    ar = np.arange(n)
+    sym = np.concatenate([sv[n - 1 : 0 : -1], sv[:n]])  # row u of psi[|v-u|]
     best_margin = tol
     best: tuple[int, int] | None = None
     for u in range(n):
-        bound = sv[np.abs(ar - u)].copy()
+        bound = sym[n - 1 - u : 2 * n - 1 - u].copy()
         head = n - u  # offsets v with u + v still on the table
         np.minimum(bound[:head], sv[u : u + head], out=bound[:head])
         margins = pv[u] - pv[:n] - bound
@@ -294,7 +288,7 @@ def _check_folded_table_holder(
 
 
 def holder_bracket(
-    f: SampledFn, phi: ErrorFn, psi: ErrorFn, cfg: AlphaConfig | None = None
+    f: SampledFn, phi: ErrorFn, psi: ErrorFn, tol: float = DEFAULT_TOL
 ) -> BracketPair:
     """Bracket a Hölder-within-phi function by two psi-Hölder functions.
 
@@ -304,25 +298,19 @@ def holder_bracket(
     ``gap_bound[i] = 2 * min over j of phi[|j-i|]`` dominates upper - lower
     nodewise.
     """
-    offsets_table(f, phi)
+    check_tolerance(tol)
     offsets_table(f, psi)
-    tol = cfg.tolerance if cfg is not None else DEFAULT_TOL
     n = f.grid.count
     ok, w = is_phi_holder(f, phi, tol)
     if not ok:
         raise PreconditionError("function is not Hölder within the error table", w)
     _check_folded_table_holder(phi, psi, n, tol)
-    alpha = absolutely_subadditive_envelope(phi, cfg).values
+    alpha = _alpha_table(f, phi)
     v = f.values
+    lower = _shifted_extremum(v, alpha, lower=False)
+    upper = _shifted_extremum(v, alpha, lower=True)
+    # the offsets |j-i| reachable from node i are 0..max(i, n-1-i)
     ar = np.arange(n)
-    lower = np.empty(n)
-    upper = np.empty(n)
-    gap = np.empty(n)
-    pv = phi.values
-    for i in range(n):
-        shifts = alpha[np.abs(ar - i)]
-        lower[i] = (v - shifts).max()
-        upper[i] = (v + shifts).min()
-        gap[i] = 2.0 * pv[np.abs(ar - i)].min()
+    gap = 2.0 * np.minimum.accumulate(phi.values[:n])[np.maximum(ar, n - 1 - ar)]
     gap.setflags(write=False)
     return BracketPair(SampledFn(f.grid, lower), SampledFn(f.grid, upper), gap)

@@ -40,6 +40,17 @@ class ConfigurationError(ValueError):
     """An algorithm configuration value is out of range."""
 
 
+def check_tolerance(tol: float) -> float:
+    """Return ``tol`` if it is a finite number >= 0, else raise.
+
+    Every check compares a margin against ``tol``; NaN or infinity would make
+    each comparison pass.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigurationError(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
+
+
 class PreconditionError(ValueError):
     """A mathematical precondition failed.
 
@@ -115,6 +126,15 @@ class Grid:
     def length(self) -> float:
         """Physical length spanned by the grid."""
         return (self.count - 1) * self.step
+
+    def compatible(self, other: "Grid") -> bool:
+        """Same node count, with step and origin equal within the ingest
+        spacing tolerance (`steps_compatible`, origin relative to the step)."""
+        return (
+            self.count == other.count
+            and steps_compatible(self.step, other.step)
+            and abs(self.origin - other.origin) <= SPACING_RTOL * self.step
+        )
 
 
 def make_grid(origin: float, step: float, count: int) -> Grid:
@@ -195,7 +215,11 @@ def steps_compatible(a: float, b: float) -> bool:
 
 
 def offsets_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
-    """Error values aligned with f's grid offsets, or raise on mismatch."""
+    """Error values at f's grid offsets 0..N-1, or raise on mismatch.
+
+    A longer table is cut to the grid: offsets beyond the last node never
+    separate two nodes, so no envelope may compose through them.
+    """
     if not steps_compatible(phi.grid_step, f.grid.step):
         raise DimensionMismatchError(
             f"error table step {phi.grid_step} does not match grid step {f.grid.step}"
@@ -204,7 +228,7 @@ def offsets_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
         raise DimensionMismatchError(
             f"error table covers {len(phi.values)} offsets, grid needs {f.grid.count}"
         )
-    return phi.values
+    return phi.values[: f.grid.count]
 
 
 def is_phi_monotone(
@@ -215,8 +239,7 @@ def is_phi_monotone(
     Returns ``(True, None)`` on success, otherwise ``(False, witness)`` where
     the witness records the pair with the largest violation.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tolerance(tol)
     table = offsets_table(f, phi)
     v = f.values
     n = len(v)
@@ -244,8 +267,7 @@ def is_phi_holder(
 
     Equivalent to both f and -f passing `is_phi_monotone`.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tolerance(tol)
     table = offsets_table(f, phi)
     v = f.values
     n = len(v)
@@ -285,7 +307,7 @@ def cone_combine(
         raise ValueError("coeffs, fns and errs must be nonempty and equally long")
     grid = fns[0].grid
     for f in fns:
-        if f.grid != grid:
+        if not f.grid.compatible(grid):
             raise DimensionMismatchError("all functions must share one grid")
     if mode == "monotone" and any(c < 0 for c in coeffs):
         raise ValueError("monotone mode requires nonnegative coefficients")
@@ -296,7 +318,7 @@ def cone_combine(
         table = offsets_table(f, e)
         fvals = fvals + c * f.values
         weight = c if mode == "monotone" else abs(c)
-        evals = evals + weight * table[:n]
+        evals = evals + weight * table
     return SampledFn(grid, fvals), ErrorFn(grid.step, evals)
 
 
@@ -314,7 +336,7 @@ def pointwise_extrema(
         raise ValueError("need at least one function")
     grid = fns[0].grid
     for f in fns:
-        if f.grid != grid:
+        if not f.grid.compatible(grid):
             raise DimensionMismatchError("all functions must share one grid")
     stacked = np.vstack([f.values for f in fns])
     out = stacked.max(axis=0) if which == "sup" else stacked.min(axis=0)

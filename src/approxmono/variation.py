@@ -18,6 +18,7 @@ from .grid import (
     Grid,
     PreconditionError,
     SampledFn,
+    check_tolerance,
     is_phi_monotone,
     offsets_table,
 )
@@ -121,6 +122,7 @@ def is_holder_via_variation(
     Agrees with the direct pairwise Hölder check; cubic in the node count,
     so meant for verification rather than bulk scanning.
     """
+    check_tolerance(tol)
     n = f.grid.count
     for start in range(n - 1):
         prefix = total_phi_variation(f, phi, start, n - 1).prefix
@@ -164,7 +166,8 @@ def delta_variation_bound(
     full grid and ``B = gq[-1] - gq[0] + hq[-1] - hq[0]``; V <= B holds up
     to check tolerances.
     """
-    if gq.grid != hq.grid:
+    check_tolerance(tol)
+    if not gq.grid.compatible(hq.grid):
         raise ValueError("both functions must share one grid")
     ok, w = is_phi_monotone(gq, phi, tol)
     if not ok:
@@ -175,7 +178,7 @@ def delta_variation_bound(
     n = gq.grid.count
     ptab = offsets_table(gq, phi)
     stab = offsets_table(hq, psi)
-    combined = ErrorFn(gq.grid.step, 2.0 * np.maximum(ptab[:n], stab[:n]))
+    combined = ErrorFn(gq.grid.step, 2.0 * np.maximum(ptab, stab))
     diff = SampledFn(gq.grid, gq.values - hq.values)
     total = total_phi_variation(diff, combined, 0, n - 1).total
     bound = float(gq.values[-1] - gq.values[0] + hq.values[-1] - hq.values[0])

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from approxmono import (
-    AlphaConfig,
     ErrorFn,
     PowerErrorSpec,
     SampledFn,
@@ -129,8 +128,7 @@ def test_c04_alpha_envelope_oracle():
         if rng.integers(0, 2):
             vals[0] = 0.0
         phi = ErrorFn(1.0, vals)
-        radius = int(rng.integers(2 * (n - 1), 17))
-        env = absolutely_subadditive_envelope(phi, AlphaConfig(radius)).values
+        env = absolutely_subadditive_envelope(phi).values
         oracle = brute_alpha(phi.values)
         assert np.max(np.abs(env - oracle)) <= 1e-12
 
@@ -211,7 +209,7 @@ def test_c07_sandwich_soundness_completeness():
         else:
             infeasible += 1
             assert w is not None
-        out, w = holder_sandwich(g, h, phi, AlphaConfig(28, 1e-9))
+        out, w = holder_sandwich(g, h, phi, 1e-9)
         assert (out is not None) == hold_holds
         if out is not None:
             assert is_phi_holder(out, phi, 1e-9)[0]
@@ -245,7 +243,7 @@ def test_c08_bracket_contracts():
     for _ in range(60):
         phi = rand_concave_increasing_error(rng, n)
         f = holder_lower_envelope(rand_fn(rng, grid), phi)
-        pair = holder_bracket(f, phi, phi, AlphaConfig(4 * (n - 1), 1e-9))
+        pair = holder_bracket(f, phi, phi, 1e-9)
         lo, hi, gap = pair.lower.values, pair.upper.values, pair.gap_bound
         alpha = absolutely_subadditive_envelope(phi).values
         assert np.all(lo <= f.values + 1e-9) and np.all(f.values <= hi + 1e-9)
@@ -362,7 +360,7 @@ def test_c13_performance():
     lattice_phi = ErrorFn(1.0, np.abs(rng.normal(size=m)) + 0.01)
     timed(
         "lattice search",
-        lambda: absolutely_subadditive_envelope(lattice_phi, AlphaConfig(2048)),
+        lambda: absolutely_subadditive_envelope(lattice_phi),
     )
 
 

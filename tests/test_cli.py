@@ -122,6 +122,16 @@ class TestRunCheck:
         )
         assert status == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exit_1(self, tmp_path, monkeypatch, tol):
+        path = tmp_path / "f.csv"
+        write_samples(path, [0.0, 5.0, 1.0])
+        argv = ["check", "--input", str(path), "--error", "const:0", "--mode", "monotone"]
+        assert run(argv)[0] == 2
+        assert run(argv + ["--tolerance", tol])[0] == 1
+        monkeypatch.setenv("APPROXMONO_TOL", tol)
+        assert run(argv)[0] == 1
+
     def test_env_var_overrides_default(self, holder_csv, monkeypatch):
         monkeypatch.setenv("APPROXMONO_TOL", "10")
         status, report = run(
@@ -158,27 +168,8 @@ class TestRunEnvelopeError:
             ]
         )
         assert status == 0
-        assert report.parameters["mass_radius"] == 16
         doc = json.loads(capsys.readouterr().out)
         assert doc["data"]["envelope"]["phi"] == [1.0, 1.0, 1.0, 1.0, 1.0]
-
-    def test_mass_radius_too_small(self, tmp_path, capsys):
-        path = tmp_path / "f.csv"
-        write_samples(path, np.zeros(5))
-        status, _ = run(
-            [
-                "envelope-error",
-                "--input",
-                str(path),
-                "--error",
-                "const:1",
-                "--kind",
-                "alpha",
-                "--mass-radius",
-                "2",
-            ]
-        )
-        assert status == 1
 
 
 class TestRunEnvelopeAndSandwich:
@@ -215,6 +206,40 @@ class TestRunEnvelopeAndSandwich:
         out = samples_from_csv(capsys.readouterr().out)
         assert np.all(out.values <= hv)
         assert len(report.inputs) == 2
+
+    @pytest.mark.parametrize("mode", ["monotone", "holder"])
+    def test_sandwich_grids_equal_within_ingest_tolerance(self, tmp_path, mode):
+        # the same 0.1-step grid written two ways ingests to steps that differ
+        # in the last bits
+        n = 8
+        cumulative = [0.0]
+        for _ in range(n - 1):
+            cumulative.append(cumulative[-1] + 0.1)
+        g_path = tmp_path / "g.csv"
+        h_path = tmp_path / "h.csv"
+        g_path.write_text("t,value\n" + "".join(f"{i * 0.1!r},-1\n" for i in range(n)))
+        h_path.write_text("t,value\n" + "".join(f"{t!r},0\n" for t in cumulative))
+        g_grid = samples_from_csv(g_path.read_text()).grid
+        h_grid = samples_from_csv(h_path.read_text()).grid
+        assert g_grid.step != h_grid.step
+        status, _ = run(
+            [
+                "sandwich",
+                "--mode",
+                mode,
+                "--input",
+                str(g_path),
+                "--input2",
+                str(h_path),
+                "--error",
+                "const:0",
+                "--output",
+                str(tmp_path / "s.csv"),
+            ]
+        )
+        assert status == 0
+        out = samples_from_csv((tmp_path / "s.csv").read_text())
+        assert np.array_equal(out.values, np.zeros(n))
 
     def test_sandwich_infeasible_exit_2(self, tmp_path, capsys):
         g_path = tmp_path / "g.csv"

@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from approxmono import (
-    AlphaConfig,
-    ConfigurationError,
     ErrorFn,
     PowerErrorSpec,
     SampledFn,
@@ -199,17 +197,6 @@ class TestSubadditiveEnvelope:
 
 
 class TestAbsolutelySubadditiveEnvelope:
-    def test_mass_radius_too_small(self):
-        phi = ErrorFn(1.0, [0.0, 1.0, 1.0])
-        with pytest.raises(ConfigurationError):
-            absolutely_subadditive_envelope(phi, AlphaConfig(mass_radius=1))
-
-    def test_alpha_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            AlphaConfig(mass_radius=0)
-        with pytest.raises(ConfigurationError):
-            AlphaConfig(mass_radius=4, tolerance=-1.0)
-
     def test_cheap_long_step_lowers_short_offsets(self):
         phi = ErrorFn(1.0, [0.0, 5.0, 1.0])
         alpha = absolutely_subadditive_envelope(phi)
@@ -259,12 +246,9 @@ class TestAbsolutelySubadditiveEnvelope:
         for _ in range(30):
             n = int(rng.integers(2, 9))
             phi = rand_error(rng, n, zero_at_origin=False)
-            results = [
-                absolutely_subadditive_envelope(phi, AlphaConfig(m)).values
-                for m in (n - 1, 2 * (n - 1), 4 * (n - 1), 8 * (n - 1))
-            ]
-            for other in results[1:]:
-                assert np.array_equal(results[0], other)
+            alpha = absolutely_subadditive_envelope(phi).values
+            for m in (n - 1, 2 * (n - 1), 4 * (n - 1)):
+                assert np.array_equal(alpha, bellman_ford_alpha(phi.values, m))
 
     def test_dominated_by_subadditive_envelope(self):
         rng = np.random.default_rng(23)

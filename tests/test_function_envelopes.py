@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from approxmono import (
-    AlphaConfig,
     DimensionMismatchError,
     ErrorFn,
     PreconditionError,
@@ -24,6 +23,7 @@ from approxmono import (
 )
 from approxmono.function_envelopes import _check_folded_table_holder
 from helpers import (
+    bellman_ford_alpha,
     dyadic,
     mono_member,
     rand_concave_increasing_error,
@@ -201,6 +201,28 @@ class TestHolderEnvelopes:
             assert np.array_equal(holder_lower_envelope(lo, phi).values, lo.values)
 
 
+class TestTableLongerThanGrid:
+    """A table with more offsets than the grid acts as the table cut to N."""
+
+    def test_envelopes_and_sandwich_use_the_cut_table(self):
+        rng = np.random.default_rng(79)
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            grid = make_grid(0.0, 1.0, n)
+            phi = rand_error(rng, n + int(rng.integers(1, 2 * n + 2)))
+            alpha = bellman_ford_alpha(phi.values[:n], n - 1)
+            shifts = alpha[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+            f = rand_fn(rng, grid)
+            lower = (f.values + shifts).min(axis=1)
+            upper = (f.values - shifts).max(axis=1)
+            assert np.array_equal(holder_lower_envelope(f, phi).values, lower)
+            assert np.array_equal(holder_upper_envelope(f, phi).values, upper)
+            g = SampledFn(grid, lower - 0.5)
+            out, w = holder_sandwich(g, f, phi)
+            assert w is None
+            assert np.array_equal(out.values, lower)
+
+
 class TestSandwiches:
     def test_shared_member_returned(self):
         rng = np.random.default_rng(77)
@@ -289,7 +311,7 @@ class TestSandwiches:
                 for i in range(8)
                 for j in range(8)
             )
-            out, w = holder_sandwich(g, h, phi, AlphaConfig(28, 0.0))
+            out, w = holder_sandwich(g, h, phi, tol=0.0)
             assert (out is not None) == holds
             if out is not None:
                 feasible += 1

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import approxmono
 from approxmono import (
+    ConfigurationError,
     DimensionMismatchError,
     ErrorFn,
+    Grid,
     GridError,
     IngestionError,
     SampledFn,
@@ -139,6 +142,35 @@ class TestMonotoneCheck:
             is_phi_monotone(sfn([0, 1]), efn([0, 1]), tol=-1.0)
 
 
+# every public entry point that takes tol=, called on samples [0, 5, 1] with
+# the zero table: the checks fail there, and NaN or infinity would pass them
+TOL_ENTRY_POINTS = {
+    "is_phi_monotone": lambda f, z, tol: approxmono.is_phi_monotone(f, z, tol),
+    "is_phi_holder": lambda f, z, tol: approxmono.is_phi_holder(f, z, tol),
+    "is_subadditive": lambda f, z, tol: approxmono.is_subadditive(z, tol),
+    "is_absolutely_subadditive": lambda f, z, tol: approxmono.is_absolutely_subadditive(
+        z, tol
+    ),
+    "monotone_sandwich": lambda f, z, tol: approxmono.monotone_sandwich(f, f, z, tol),
+    "holder_sandwich": lambda f, z, tol: approxmono.holder_sandwich(f, f, z, tol),
+    "monotone_bracket": lambda f, z, tol: approxmono.monotone_bracket(f, z, z, tol),
+    "holder_bracket": lambda f, z, tol: approxmono.holder_bracket(f, z, z, tol),
+    "delta_variation_bound": lambda f, z, tol: approxmono.delta_variation_bound(
+        f, f, z, z, tol
+    ),
+    "is_holder_via_variation": lambda f, z, tol: approxmono.is_holder_via_variation(
+        f, z, tol
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_tolerance_must_be_finite_and_nonnegative(entry, tol):
+    with pytest.raises(ConfigurationError):
+        TOL_ENTRY_POINTS[entry](sfn([0, 5, 1]), efn([0, 0, 0]), tol)
+
+
 class TestHolderCheck:
     def test_constant_function(self):
         ok, _ = is_phi_holder(sfn([3, 3, 3]), efn([0, 0, 0]))
@@ -217,6 +249,15 @@ class TestConeCombine:
         f = sfn([0, 1])
         with pytest.raises(ValueError):
             cone_combine([-1.0], [f], [efn([0, 1])], "monotone")
+
+    def test_grids_equal_within_spacing_tolerance_combine(self):
+        a = sfn([0, 1, 2], step=0.1)
+        b = SampledFn(Grid(0.0, 0.1 * (1 + 1e-12), 3), [2, 1, 0])
+        g, _ = cone_combine([1.0, 1.0], [a, b], [efn([0, 1, 1], 0.1)] * 2, "holder")
+        assert np.array_equal(g.values, [2.0, 2.0, 2.0])
+        assert np.array_equal(pointwise_extrema([a, b], "sup").values, [2.0, 1.0, 2.0])
+        assert not a.grid.compatible(sfn([0, 1, 2], step=0.1, origin=0.01).grid)
+        assert not a.grid.compatible(sfn([0, 1], step=0.1).grid)
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
