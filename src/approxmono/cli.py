@@ -170,23 +170,24 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="approxmono", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, need_error: bool = True) -> _Parser:
+    # each subcommand registers only the flags it reads, so a misplaced one
+    # is a usage error (exit 1) instead of being silently ignored
+    def add(name: str, help_text: str) -> _Parser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--input", required=True, help="sample CSV with header t,value")
-        sp.add_argument(
-            "--error",
-            required=need_error,
-            default=None,
-            help="error spec: power:<eps>,<p> | const:<c> | file:<path>",
-        )
-        sp.add_argument("--error2", default=None, help="companion error spec")
-        sp.add_argument(
-            "--tolerance",
-            type=float,
-            default=None,
-            help=f"additive check tolerance (default 1e-9, or ${TOL_ENV_VAR})",
-        )
-        sp.add_argument("--anchor", type=int, default=0, help="start node index")
+        if name != "individual":
+            sp.add_argument(
+                "--error",
+                required=True,
+                help="error spec: power:<eps>,<p> | const:<c> | file:<path>",
+            )
+        if name in ("check", "sandwich", "bracket"):
+            sp.add_argument(
+                "--tolerance",
+                type=float,
+                default=None,
+                help=f"additive check tolerance (default 1e-9, or ${TOL_ENV_VAR})",
+            )
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--output", default=None, help="output path (default stdout)")
         return sp
@@ -207,11 +208,16 @@ def _build_parser() -> _Parser:
 
     sp = add("bracket", "two-sided bracket of the input")
     sp.add_argument("--mode", choices=("monotone", "holder"), default="monotone")
+    sp.add_argument("--error2", default=None, help="companion error spec")
 
-    add("variation", "prefix table of the total discounted variation")
-    add("jordan", "difference-of-monotone decomposition")
+    for name, help_text in (
+        ("variation", "prefix table of the total discounted variation"),
+        ("jordan", "difference-of-monotone decomposition"),
+    ):
+        sp = add(name, help_text)
+        sp.add_argument("--anchor", type=int, default=0, help="start node index")
 
-    sp = add("individual", "smallest error table the input passes", need_error=False)
+    sp = add("individual", "smallest error table the input passes")
     sp.add_argument("--kind", choices=("sigma", "alpha"), default="sigma")
 
     return parser
@@ -253,22 +259,17 @@ def _cmd_check(args, report):
 
 def _cmd_envelope_error(args, report):
     f = _load_samples(args.input, report)
-    tol = _resolve_tolerance(args)
-    report.parameters.update(tolerance=tol, kind=args.kind)
+    report.parameters.update(kind=args.kind)
     phi = _resolve_error(args.error, f.grid, report, "error")
+    cut = ErrorFn(phi.grid_step, offsets_table(f, phi))
     if args.kind == "sigma":
-        out = subadditive_envelope(phi)
-    else:
-        out = absolutely_subadditive_envelope(
-            ErrorFn(phi.grid_step, offsets_table(f, phi))
-        )
-    return 0, [_error_section("envelope", out)], False
+        return 0, [_error_section("envelope", subadditive_envelope(cut))], False
+    return 0, [_error_section("envelope", absolutely_subadditive_envelope(cut))], False
 
 
 def _cmd_envelope(args, report):
     f = _load_samples(args.input, report)
-    tol = _resolve_tolerance(args)
-    report.parameters.update(tolerance=tol, mode=args.mode, side=args.side)
+    report.parameters.update(mode=args.mode, side=args.side)
     phi = _resolve_error(args.error, f.grid, report, "error")
     if args.mode == "monotone":
         op = monotone_lower_envelope if args.side == "lower" else monotone_upper_envelope
@@ -325,8 +326,7 @@ def _cmd_bracket(args, report):
 
 def _cmd_variation(args, report):
     f = _load_samples(args.input, report)
-    tol = _resolve_tolerance(args)
-    report.parameters.update(tolerance=tol, anchor=args.anchor)
+    report.parameters.update(anchor=args.anchor)
     phi = _resolve_error(args.error, f.grid, report, "error")
     table = total_phi_variation(f, phi, args.anchor, f.grid.count - 1)
     fn = SampledFn(
@@ -337,8 +337,7 @@ def _cmd_variation(args, report):
 
 def _cmd_jordan(args, report):
     f = _load_samples(args.input, report)
-    tol = _resolve_tolerance(args)
-    report.parameters.update(tolerance=tol, anchor=args.anchor)
+    report.parameters.update(anchor=args.anchor)
     phi = _resolve_error(args.error, f.grid, report, "error")
     pair = jordan_decompose(f, phi, args.anchor)
     return 0, [_samples_section("g", pair.g), _samples_section("h", pair.h)], False

@@ -21,6 +21,7 @@ from .grid import (
     ErrorFn,
     Witness,
     WitnessKind,
+    _max_violation,
     check_tolerance,
 )
 
@@ -62,20 +63,11 @@ def is_subadditive(
     check_tolerance(tol)
     v = phi.values
     n = len(v)
-    best_margin = tol
-    best: tuple[int, int] | None = None
-    for j in range(n):
-        margins = v[j:] - v[j] - v[: n - j]
-        k = int(np.argmax(margins))
-        m = float(margins[k])
-        if m > best_margin:
-            best_margin = m
-            best = (j, k)
+    best = _max_violation(n, lambda j: v[j:] - v[j] - v[: n - j], tol)
     if best is None:
         return True, None
     j, k = best
-    lhs = float(v[j + k])
-    rhs = float(v[j] + v[k])
+    lhs, rhs = float(v[j + k]), float(v[j] + v[k])
     return False, Witness(WitnessKind.SUBADDITIVE, (j, k), lhs, rhs)
 
 
@@ -93,20 +85,13 @@ def is_absolutely_subadditive(
     # sym[n-1+k] = v[|k|], so for k = -(n-1)..n-1-j the terms v[|j+k|] and
     # v[|k|] are contiguous slices
     sym = np.concatenate([v[:0:-1], v])
-    best_margin = tol
-    best: tuple[int, int] | None = None
-    for j in range(n):
-        margins = sym[j : 2 * n - 1] - v[j] - sym[: 2 * n - 1 - j]
-        pos = int(np.argmax(margins))
-        m = float(margins[pos])
-        if m > best_margin:
-            best_margin = m
-            best = (j, pos - (n - 1))
+    best = _max_violation(
+        n, lambda j: sym[j : 2 * n - 1] - v[j] - sym[: 2 * n - 1 - j], tol
+    )
     if best is None:
         return True, None
-    j, k = best
-    lhs = float(v[abs(j + k)])
-    rhs = float(v[j] + v[abs(k)])
+    j, k = best[0], best[1] - (n - 1)
+    lhs, rhs = float(v[abs(j + k)]), float(v[j] + v[abs(k)])
     return False, Witness(WitnessKind.ABS_SUBADDITIVE, (j, k), lhs, rhs)
 
 

@@ -19,6 +19,7 @@ from .grid import (
     SampledFn,
     Witness,
     WitnessKind,
+    _max_violation,
     check_tolerance,
     is_phi_holder,
     is_phi_monotone,
@@ -54,9 +55,20 @@ def _alpha_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
     ).values
 
 
-def _shifted_extremum(v: np.ndarray, alpha: np.ndarray, lower: bool) -> np.ndarray:
-    """``min over j of v[j] + alpha[|j-i|]`` for every node i, or with
-    ``lower=False`` ``max over j of v[j] - alpha[|j-i|]``.
+def _forward_min(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray:
+    """``min over j >= i + skip of v[j] + sigma[j-i]`` for every node i.
+
+    Nodes whose range is empty (the last ``skip``) keep ``v[i]``.
+    """
+    n = len(v)
+    out = v.copy()
+    for i in range(n - skip):
+        out[i] = (v[i + skip :] + sigma[skip : n - i]).min()
+    return out
+
+
+def _shifted_extremum(v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``min over j of v[j] + alpha[|j-i|]`` for every node i.
 
     Row i of ``alpha[|j-i|]`` is a contiguous slice of the mirrored table.
     """
@@ -64,9 +76,20 @@ def _shifted_extremum(v: np.ndarray, alpha: np.ndarray, lower: bool) -> np.ndarr
     sym = np.concatenate([alpha[:0:-1], alpha])
     out = np.empty(n)
     for i in range(n):
-        row = sym[n - 1 - i : 2 * n - 1 - i]
-        out[i] = (v + row).min() if lower else (v - row).max()
+        out[i] = (v + sym[n - 1 - i : 2 * n - 1 - i]).min()
     return out
+
+
+def _neg(x: np.ndarray) -> np.ndarray:
+    """``-x`` with zeros as +0.0, so a mirrored result never carries -0.0."""
+    return 0.0 - x
+
+
+def _backward_max(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray:
+    """``max over j <= i - skip of v[j] - sigma[i-j]``: `_forward_min` on the
+    reflection ``-v[::-1]``, reflected back.  Negation and reversal are exact,
+    so this equals the direct maximum; a zero result is always +0.0."""
+    return _neg(_forward_min(_neg(v[::-1]), sigma, skip)[::-1])
 
 
 def _require_zero_at_origin(phi: ErrorFn) -> None:
@@ -84,13 +107,7 @@ def monotone_lower_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     against sigma (hence against phi), is below f whenever the table
     vanishes at offset 0, and the operator is then idempotent.
     """
-    sig = _sigma_table(f, phi)
-    v = f.values
-    n = len(v)
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = (v[i:] + sig[: n - i]).min()
-    return SampledFn(f.grid, out)
+    return SampledFn(f.grid, _forward_min(f.values, _sigma_table(f, phi), 0))
 
 
 def monotone_upper_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
@@ -99,13 +116,7 @@ def monotone_upper_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     Mirror image of `monotone_lower_envelope`:
     ``out[i] = max over j <= i of f[j] - sigma[i-j]``.
     """
-    sig = _sigma_table(f, phi)
-    v = f.values
-    n = len(v)
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = (v[: i + 1] - sig[i::-1]).max()
-    return SampledFn(f.grid, out)
+    return SampledFn(f.grid, _backward_max(f.values, _sigma_table(f, phi), 0))
 
 
 def holder_lower_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
@@ -115,15 +126,15 @@ def holder_lower_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     absolutely subadditive envelope.  Requires the table to vanish at 0.
     """
     _require_zero_at_origin(phi)
-    alpha = _alpha_table(f, phi)
-    return SampledFn(f.grid, _shifted_extremum(f.values, alpha, lower=True))
+    return SampledFn(f.grid, _shifted_extremum(f.values, _alpha_table(f, phi)))
 
 
 def holder_upper_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
-    """Smallest Hölder-within-phi function above f."""
+    """Smallest Hölder-within-phi function above f: the negated lower
+    envelope of -f, ``out[i] = max over j of f[j] - alpha[|j-i|]``."""
     _require_zero_at_origin(phi)
     alpha = _alpha_table(f, phi)
-    return SampledFn(f.grid, _shifted_extremum(f.values, alpha, lower=False))
+    return SampledFn(f.grid, _neg(_shifted_extremum(_neg(f.values), alpha)))
 
 
 def monotone_sandwich(
@@ -143,21 +154,12 @@ def monotone_sandwich(
     sig = _sigma_table(g, phi)
     gv, hv = g.values, h.values
     n = len(gv)
-    best_margin = tol
-    best: tuple[int, int] | None = None
-    for k in range(n):
-        margins = (gv[: n - k] - hv[k:]) - sig[k]
-        i = int(np.argmax(margins))
-        m = float(margins[i])
-        if m > best_margin:
-            best_margin = m
-            best = (i, i + k)
+    best = _max_violation(n, lambda k: (gv[: n - k] - hv[k:]) - sig[k], tol)
     if best is not None:
-        i, j = best
-        lhs = float(gv[i])
-        rhs = float(hv[j] + sig[j - i])
-        return None, Witness(WitnessKind.SANDWICH, (i, j), lhs, rhs)
-    return monotone_lower_envelope(h, phi), None
+        k, i = best
+        lhs, rhs = float(gv[i]), float(hv[i + k] + sig[k])
+        return None, Witness(WitnessKind.SANDWICH, (i, i + k), lhs, rhs)
+    return SampledFn(h.grid, _forward_min(hv, sig, 0)), None
 
 
 def holder_sandwich(
@@ -176,7 +178,7 @@ def holder_sandwich(
     _require_zero_at_origin(phi)
     alpha = _alpha_table(h, phi)
     gv, hv = g.values, h.values
-    env = _shifted_extremum(hv, alpha, lower=True)
+    env = _shifted_extremum(hv, alpha)
     margins = gv - env
     i = int(np.argmax(margins))
     if float(margins[i]) > tol:
@@ -197,20 +199,11 @@ def _check_neg_table_monotone(
     """
     pv = phi.values
     sv = psi.values
-    best_margin = tol
-    best: tuple[int, int] | None = None
-    for i in range(1, n):
-        margins = pv[i:n] - pv[i] - sv[: n - i]
-        j = int(np.argmax(margins))
-        m = float(margins[j])
-        if m > best_margin:
-            best_margin = m
-            best = (i, i + j)
+    best = _max_violation(n, lambda i: pv[i:n] - pv[i] - sv[: n - i], tol, 1)
     if best is not None:
-        i, j = best
-        w = Witness(
-            WitnessKind.MONOTONE, (i, j), float(pv[j]), float(pv[i] + sv[j - i])
-        )
+        i, k = best
+        lhs, rhs = float(pv[i + k]), float(pv[i] + sv[k])
+        w = Witness(WitnessKind.MONOTONE, (i, i + k), lhs, rhs)
         raise PreconditionError(
             "negated error table is not monotone within the companion table", w
         )
@@ -238,15 +231,8 @@ def monotone_bracket(
         raise PreconditionError("function is not monotone within the error table", w)
     _check_neg_table_monotone(phi, psi, n, tol)
     sig = _sigma_table(f, phi)
-    v = f.values
-    lower = np.empty(n)
-    upper = np.empty(n)
-    lower[0] = v[0]
-    upper[n - 1] = v[n - 1]
-    for i in range(1, n):
-        lower[i] = (v[:i] - sig[i:0:-1]).max()
-    for i in range(n - 1):
-        upper[i] = (v[i + 1 :] + sig[1 : n - i]).min()
+    lower = _backward_max(f.values, sig, 1)
+    upper = _forward_min(f.values, sig, 1)
     return BracketPair(SampledFn(f.grid, lower), SampledFn(f.grid, upper))
 
 
@@ -262,18 +248,14 @@ def _check_folded_table_holder(
     pv = phi.values
     sv = psi.values
     sym = np.concatenate([sv[n - 1 : 0 : -1], sv[:n]])  # row u of psi[|v-u|]
-    best_margin = tol
-    best: tuple[int, int] | None = None
-    for u in range(n):
+
+    def margins(u: int) -> np.ndarray:
         bound = sym[n - 1 - u : 2 * n - 1 - u].copy()
         head = n - u  # offsets v with u + v still on the table
         np.minimum(bound[:head], sv[u : u + head], out=bound[:head])
-        margins = pv[u] - pv[:n] - bound
-        vpos = int(np.argmax(margins))
-        m = float(margins[vpos])
-        if m > best_margin:
-            best_margin = m
-            best = (u, vpos)
+        return pv[u] - pv[:n] - bound
+
+    best = _max_violation(n, margins, tol)
     if best is not None:
         u, vpos = best
         alt = sv[abs(vpos - u)]
@@ -307,8 +289,8 @@ def holder_bracket(
     _check_folded_table_holder(phi, psi, n, tol)
     alpha = _alpha_table(f, phi)
     v = f.values
-    lower = _shifted_extremum(v, alpha, lower=False)
-    upper = _shifted_extremum(v, alpha, lower=True)
+    lower = _neg(_shifted_extremum(_neg(v), alpha))
+    upper = _shifted_extremum(v, alpha)
     # the offsets |j-i| reachable from node i are 0..max(i, n-1-i)
     ar = np.arange(n)
     gap = 2.0 * np.minimum.accumulate(phi.values[:n])[np.maximum(ar, n - 1 - ar)]

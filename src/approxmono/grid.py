@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -231,6 +231,26 @@ def offsets_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
     return phi.values[: f.grid.count]
 
 
+def _max_violation(
+    rows: int, margins: Callable[[int], np.ndarray], tol: float, first: int = 0
+) -> tuple[int, int] | None:
+    """``(row, pos)`` of the largest margin above tol over rows first..rows-1.
+
+    Rows are scanned in order and only a strictly larger margin replaces the
+    current best, so ties resolve to the first row, then the first position.
+    """
+    best_margin = tol
+    best = None
+    for r in range(first, rows):
+        row = margins(r)
+        pos = int(np.argmax(row))
+        m = float(row[pos])
+        if m > best_margin:
+            best_margin = m
+            best = (r, pos)
+    return best
+
+
 def is_phi_monotone(
     f: SampledFn, phi: ErrorFn, tol: float = DEFAULT_TOL
 ) -> tuple[bool, Witness | None]:
@@ -243,21 +263,12 @@ def is_phi_monotone(
     table = offsets_table(f, phi)
     v = f.values
     n = len(v)
-    best_margin = tol
-    best: tuple[int, int] | None = None
-    for k in range(n):
-        margins = (v[: n - k] - v[k:]) - table[k]
-        i = int(np.argmax(margins))
-        m = float(margins[i])
-        if m > best_margin:
-            best_margin = m
-            best = (i, i + k)
+    best = _max_violation(n, lambda k: (v[: n - k] - v[k:]) - table[k], tol)
     if best is None:
         return True, None
-    i, j = best
-    lhs = float(v[i])
-    rhs = float(v[j] + table[j - i])
-    return False, Witness(WitnessKind.MONOTONE, (i, j), lhs, rhs)
+    k, i = best
+    lhs, rhs = float(v[i]), float(v[i + k] + table[k])
+    return False, Witness(WitnessKind.MONOTONE, (i, i + k), lhs, rhs)
 
 
 def is_phi_holder(
@@ -265,27 +276,19 @@ def is_phi_holder(
 ) -> tuple[bool, Witness | None]:
     """Check |f[i] - f[j]| <= phi[|i-j|] + tol for all node pairs.
 
-    Equivalent to both f and -f passing `is_phi_monotone`.
+    Equivalent to both f and -f passing `is_phi_monotone`; scanned in one
+    ``|f[i] - f[j]|`` pass rather than two monotone ones.
     """
     check_tolerance(tol)
     table = offsets_table(f, phi)
     v = f.values
     n = len(v)
-    best_margin = tol
-    best: tuple[int, int] | None = None
-    for k in range(n):
-        margins = np.abs(v[: n - k] - v[k:]) - table[k]
-        i = int(np.argmax(margins))
-        m = float(margins[i])
-        if m > best_margin:
-            best_margin = m
-            best = (i, i + k)
+    best = _max_violation(n, lambda k: np.abs(v[: n - k] - v[k:]) - table[k], tol)
     if best is None:
         return True, None
-    i, j = best
-    lhs = float(abs(v[i] - v[j]))
-    rhs = float(table[j - i])
-    return False, Witness(WitnessKind.HOLDER, (i, j), lhs, rhs)
+    k, i = best
+    lhs, rhs = float(abs(v[i] - v[i + k])), float(table[k])
+    return False, Witness(WitnessKind.HOLDER, (i, i + k), lhs, rhs)
 
 
 def cone_combine(

@@ -77,6 +77,13 @@ class JordanPair:
     h: SampledFn
 
 
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    """Return x, or raise OverflowError if a sum left the double range."""
+    if not np.all(np.isfinite(x)):
+        raise OverflowError(f"{what} overflows the double range")
+    return x
+
+
 def phi_variation(f: SampledFn, partition: Partition, phi: ErrorFn) -> float:
     """Sum of |f increment| - phi over the partition's subintervals."""
     table = offsets_table(f, phi)
@@ -97,7 +104,8 @@ def total_phi_variation(
 
     Dynamic program over the last partition node:
     ``V[i] = max over start <= j < i of V[j] + |f[i] - f[j]| - phi[i-j]``,
-    which matches exhaustive enumeration over partitions exactly.
+    which matches exhaustive enumeration over partitions exactly.  Raises
+    OverflowError when a prefix value leaves the double range.
     """
     table = offsets_table(f, phi)
     n = f.grid.count
@@ -109,9 +117,10 @@ def total_phi_variation(
     m = end - start + 1
     prefix = np.empty(m)
     prefix[0] = 0.0
-    for i in range(1, m):
-        prefix[i] = (prefix[:i] + (np.abs(seg[i] - seg[:i]) - table[i:0:-1])).max()
-    return VariationTable(f.grid, start, prefix)
+    with np.errstate(over="ignore"):
+        for i in range(1, m):
+            prefix[i] = (prefix[:i] + (np.abs(seg[i] - seg[:i]) - table[i:0:-1])).max()
+    return VariationTable(f.grid, start, _finite(prefix, "total variation"))
 
 
 def is_holder_via_variation(
@@ -137,18 +146,21 @@ def jordan_decompose(f: SampledFn, phi: ErrorFn, anchor: int = 0) -> JordanPair:
     With V the total variation table of f for the doubled error allowance,
     ``g = (V + f) / 2`` and ``h = (V - f) / 2`` on indices >= anchor; then
     g - h = f and both halves pass the monotone check against phi.  Nothing
-    is produced left of the anchor.
+    is produced left of the anchor.  A sum that leaves the double range
+    raises OverflowError.
     """
     n = f.grid.count
     if not (0 <= anchor <= n - 2):
         raise ValueError(f"anchor {anchor} needs at least one node to its right")
-    doubled = ErrorFn(phi.grid_step, 2.0 * phi.values)
+    with np.errstate(over="ignore"):
+        doubled = ErrorFn(phi.grid_step, _finite(2.0 * phi.values, "doubled table"))
     prefix = total_phi_variation(f, doubled, anchor, n - 1).prefix
     seg = f.values[anchor:]
+    with np.errstate(over="ignore"):
+        g = _finite(0.5 * (prefix + seg), "Jordan half")
+        h = _finite(0.5 * (prefix - seg), "Jordan half")
     sub = Grid(f.grid.node(anchor), f.grid.step, n - anchor)
-    g = SampledFn(sub, 0.5 * (prefix + seg))
-    h = SampledFn(sub, 0.5 * (prefix - seg))
-    return JordanPair(g, h)
+    return JordanPair(SampledFn(sub, g), SampledFn(sub, h))
 
 
 def delta_variation_bound(
@@ -178,8 +190,10 @@ def delta_variation_bound(
     n = gq.grid.count
     ptab = offsets_table(gq, phi)
     stab = offsets_table(hq, psi)
-    combined = ErrorFn(gq.grid.step, 2.0 * np.maximum(ptab, stab))
-    diff = SampledFn(gq.grid, gq.values - hq.values)
+    with np.errstate(over="ignore"):
+        doubled = _finite(2.0 * np.maximum(ptab, stab), "doubled table")
+        diff = SampledFn(gq.grid, _finite(gq.values - hq.values, "difference"))
+    combined = ErrorFn(gq.grid.step, doubled)
     total = total_phi_variation(diff, combined, 0, n - 1).total
     bound = float(gq.values[-1] - gq.values[0] + hq.values[-1] - hq.values[0])
     return total, bound

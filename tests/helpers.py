@@ -166,3 +166,42 @@ def brute_variation(fv, table, a: int, b: int) -> float:
             if acc > best:
                 best = acc
     return best
+
+
+# Direct loop versions of the mirrored operators, which the library derives
+# from its lower-side kernels by negation and reversal.  Each takes the
+# sigma or alpha table the library builds, so only the envelope step is
+# compared.
+
+
+def loop_monotone_upper(v, sig) -> np.ndarray:
+    """``max over j <= i of v[j] - sig[i-j]``, one row at a time."""
+    n = len(v)
+    out = np.empty(n)
+    for i in range(n):
+        out[i] = (v[: i + 1] - sig[i::-1]).max()
+    return out
+
+
+def loop_monotone_bracket(v, sig) -> tuple[np.ndarray, np.ndarray]:
+    """Strict one-sided extrema, with the input copied where they are empty."""
+    n = len(v)
+    lower = np.empty(n)
+    upper = np.empty(n)
+    lower[0] = v[0]
+    upper[n - 1] = v[n - 1]
+    for i in range(1, n):
+        lower[i] = (v[:i] - sig[i:0:-1]).max()
+    for i in range(n - 1):
+        upper[i] = (v[i + 1 :] + sig[1 : n - i]).min()
+    return lower, upper
+
+
+def loop_holder_upper(v, alpha) -> np.ndarray:
+    """``max over j of v[j] - alpha[|j-i|]``, one row at a time."""
+    n = len(v)
+    sym = np.concatenate([alpha[:0:-1], alpha])
+    out = np.empty(n)
+    for i in range(n):
+        out[i] = (v - sym[n - 1 - i : 2 * n - 1 - i]).max()
+    return out

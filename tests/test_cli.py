@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from approxmono import SampledFn, is_phi_monotone, make_grid
+from approxmono import ErrorFn, SampledFn, is_phi_monotone, make_grid
 from approxmono.cli import ErrorSpec, run
 from approxmono.csvio import (
     error_from_csv,
@@ -435,3 +435,93 @@ class TestDeterminism:
             ["check", "--input", str(path), "--error", f"file:{phi_path}"]
         )
         assert status == 0
+
+
+# the optional flags each subcommand reads, and a valid value for each
+FLAG_VALUES = {
+    "--error": "const:0",
+    "--error2": "const:0",
+    "--anchor": "1",
+    "--tolerance": "0",
+}
+FLAGS_USED = {
+    "check": {"--error", "--tolerance"},
+    "envelope-error": {"--error"},
+    "envelope": {"--error"},
+    "sandwich": {"--error", "--tolerance"},
+    "bracket": {"--error", "--error2", "--tolerance"},
+    "variation": {"--error", "--anchor"},
+    "jordan": {"--error", "--anchor"},
+    "individual": set(),
+}
+
+
+def minimal_argv(path, command):
+    argv = [command, "--input", str(path)]
+    if "--error" in FLAGS_USED[command]:
+        argv += ["--error", "const:0"]
+    if command == "sandwich":
+        argv += ["--input2", str(path)]
+    return argv
+
+
+class TestFlagsOnlyWhereUsed:
+    """Each subcommand registers only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c, used in FLAGS_USED.items() for f in FLAG_VALUES if f not in used],
+    )
+    def test_unused_flag_rejected(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "f.csv"
+        write_samples(path, np.zeros(4))
+        argv = minimal_argv(path, command)
+        assert run(argv)[0] == 0
+        assert run(argv + [flag, FLAG_VALUES[flag]])[0] == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(FLAGS_USED))
+    def test_used_flags_accepted(self, tmp_path, command):
+        path = tmp_path / "f.csv"
+        write_samples(path, np.zeros(4))
+        argv = minimal_argv(path, command)
+        for flag in sorted(FLAGS_USED[command] - {"--error"}):
+            argv += [flag, FLAG_VALUES[flag]]
+        assert run(argv)[0] == 0
+
+    @pytest.mark.parametrize(
+        "command", ["envelope-error", "envelope", "variation", "jordan"]
+    )
+    def test_tolerance_read_only_by_checks(self, tmp_path, monkeypatch, command):
+        path = tmp_path / "f.csv"
+        write_samples(path, np.zeros(4))
+        monkeypatch.setenv("APPROXMONO_TOL", "nan")
+        status, report = run(minimal_argv(path, command))
+        assert status == 0
+        assert "tolerance" not in report.parameters
+
+
+class TestEnvelopeErrorCutsFileTable:
+    @pytest.mark.parametrize("kind", ["sigma", "alpha"])
+    def test_twelve_row_table_on_five_nodes(self, tmp_path, capsys, kind):
+        path = tmp_path / "f.csv"
+        write_samples(path, np.zeros(5))
+        table = tmp_path / "phi.csv"
+        table.write_text(error_to_csv(ErrorFn(1.0, np.arange(12.0))))
+        argv = ["envelope-error", "--input", str(path), "--error", f"file:{table}"]
+        status, _ = run(argv + ["--kind", kind])
+        assert status == 0
+        phi = error_from_csv(capsys.readouterr().out)
+        assert list(phi.values) == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+class TestOverflowExit1:
+    @pytest.mark.parametrize("command", ["variation", "jordan"])
+    def test_overflowing_variation(self, tmp_path, capsys, command):
+        path = tmp_path / "f.csv"
+        write_samples(path, [1e308, -1e308, 1e308])
+        status, _ = run([command, "--input", str(path), "--error", "const:0"])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "overflows the double range" in err
+        assert "not finite" not in err

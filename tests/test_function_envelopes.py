@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxmono import (
     DimensionMismatchError,
@@ -21,10 +23,14 @@ from approxmono import (
     monotone_upper_envelope,
     subadditive_envelope,
 )
+from approxmono import function_envelopes
 from approxmono.function_envelopes import _check_folded_table_holder
 from helpers import (
     bellman_ford_alpha,
     dyadic,
+    loop_holder_upper,
+    loop_monotone_bracket,
+    loop_monotone_upper,
     mono_member,
     rand_concave_increasing_error,
     rand_error,
@@ -499,3 +505,95 @@ class TestEnvelopePreservesHypotheses:
             checked += 1
             alpha = absolutely_subadditive_envelope(phi)
             _check_folded_table_holder(alpha, psi, n, 1e-12)
+
+
+class TestSigmaOncePerSandwich:
+    @pytest.mark.parametrize("shift", [-0.5, 3.0])
+    def test_one_sigma_build_per_call(self, monkeypatch, shift):
+        calls = []
+
+        def counting(phi):
+            calls.append(len(phi))
+            return subadditive_envelope(phi)
+
+        monkeypatch.setattr(function_envelopes, "subadditive_envelope", counting)
+        rng = np.random.default_rng(97)
+        grid = make_grid(0.0, 1.0, 12)
+        phi = rand_error(rng, 12)
+        h = mono_member(rng, grid, phi)
+        calls.clear()
+        out, w = monotone_sandwich(SampledFn(grid, h.values + shift), h, phi)
+        assert (out is None) == (shift > 0)
+        assert calls == [12]
+
+
+def same_bits(a, b):
+    """Equal values and equal sign bits, so +0.0 and -0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def mirror_case(draw):
+    """(f, phi) with phi[0] = 0: dyadic, non-dyadic, small-integer (many
+    exact ties, so many zero differences) or all-zero values."""
+    kind = draw(st.sampled_from(["dyadic", "real", "integer", "zero"]))
+    n = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zero":
+        vals, table = np.zeros(n), np.zeros(n)
+    elif kind == "dyadic":
+        vals, table = dyadic(rng, -2, 2, n), dyadic(rng, 0, 1, n)
+    elif kind == "real":
+        vals, table = rng.uniform(-2, 2, n), rng.uniform(0, 1, n)
+    else:
+        vals, table = rng.integers(-2, 3, n) * 1.0, rng.integers(0, 3, n) * 1.0
+    table[0] = 0.0
+    return sfn(vals), efn(table)
+
+
+def cover(phi):
+    """Constant companion table max(phi): both bracket hypotheses hold."""
+    return efn(np.full(len(phi), float(phi.values.max())))
+
+
+class TestMirrorsMatchDirectLoops:
+    """The upper sides are derived from the lower-side kernels by negation
+    (and reversal); they must equal the direct loops bit for bit."""
+
+    @given(mirror_case())
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_upper_envelope_and_bracket(self, case):
+        f, phi = case
+        sig = subadditive_envelope(phi).values
+        got = monotone_upper_envelope(f, phi).values
+        assert same_bits(got, loop_monotone_upper(f.values, sig))
+        member = monotone_lower_envelope(f, phi)
+        pair = monotone_bracket(member, phi, cover(phi))
+        lower, upper = loop_monotone_bracket(member.values, sig)
+        assert same_bits(pair.lower.values, lower)
+        assert same_bits(pair.upper.values, upper)
+
+    @given(mirror_case())
+    @settings(max_examples=200, deadline=None)
+    def test_holder_upper_envelope_and_bracket(self, case):
+        f, phi = case
+        alpha = absolutely_subadditive_envelope(phi).values
+        got = holder_upper_envelope(f, phi).values
+        assert same_bits(got, loop_holder_upper(f.values, alpha))
+        member = holder_lower_envelope(f, phi)
+        pair = holder_bracket(member, phi, cover(phi))
+        assert same_bits(pair.lower.values, loop_holder_upper(member.values, alpha))
+
+    def test_derived_sides_never_return_negative_zero(self):
+        # without the +0.0 after negation, +0.0 input comes back as -0.0;
+        # -0.0 input comes out +0.0, as from the lower sides
+        for zero in (0.0, -0.0):
+            f, phi = sfn(np.full(5, zero)), efn(np.zeros(5))
+            outs = [
+                monotone_upper_envelope(f, phi).values,
+                holder_upper_envelope(f, phi).values,
+                monotone_bracket(f, phi, phi).lower.values,
+                holder_bracket(f, phi, phi).lower.values,
+            ]
+            for out in outs:
+                assert not np.signbit(out).any()

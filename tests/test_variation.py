@@ -233,3 +233,25 @@ class TestDeltaVariationBound:
         with pytest.raises(PreconditionError) as exc:
             delta_variation_bound(gq, hq, z, z)
         assert exc.value.witness is not None
+
+
+class TestOverflow:
+    """Sums that leave the double range raise OverflowError, not a
+    misleading non-finite-value error from re-wrapping the result."""
+
+    def test_total_variation_and_jordan(self):
+        f = sfn([1e308, -1e308, 1e308])
+        phi = efn(np.zeros(3))
+        with pytest.raises(OverflowError):
+            total_phi_variation(f, phi)
+        with pytest.raises(OverflowError):
+            jordan_decompose(f, phi)
+
+    def test_doubled_table_in_jordan(self):
+        with pytest.raises(OverflowError):
+            jordan_decompose(sfn([0.0, 1.0, 2.0]), efn([0.0, 1e308, 1e308]))
+
+    def test_large_finite_values_still_pass(self):
+        f = sfn([1e307, -1e307, 1e307])
+        table = total_phi_variation(f, efn(np.zeros(3)))
+        assert list(table.prefix) == [0.0, 2e307, 4e307]
