@@ -377,7 +377,7 @@ def _emit(args, report: RunReport, sections: list[Section], force_json: bool) ->
             "data": {s.name: s.data for s in sections},
             "report": report.to_dict(),
         }
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
         else:
@@ -390,12 +390,11 @@ def _emit(args, report: RunReport, sections: list[Section], force_json: bool) ->
             paths = [_derived_path(args.output, s.name) for s in sections]
         sidecar = f"{args.output}.report.json"
         report.outputs = paths + [sidecar]
+        # serialized first, so a non-finite value leaves no file behind
+        text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
         for path, section in zip(paths, sections):
             Path(path).write_text(section.csv_text, encoding="utf-8")
-        Path(sidecar).write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        Path(sidecar).write_text(text + "\n", encoding="utf-8")
     else:
         report.outputs = ["-"]
         sys.stdout.write("\n".join(s.csv_text for s in sections))

@@ -22,6 +22,7 @@ from .grid import (
     Witness,
     WitnessKind,
     _max_violation,
+    _star_shaped,
     check_tolerance,
 )
 
@@ -95,24 +96,32 @@ def is_absolutely_subadditive(
     return False, Witness(WitnessKind.ABS_SUBADDITIVE, (j, k), lhs, rhs)
 
 
+@np.errstate(over="ignore")  # an inf sum never undercuts env[k]
+def _sigma_loop(v: np.ndarray) -> np.ndarray:
+    """The quadratic min-plus recurrence of `subadditive_envelope`."""
+    env = v.astype(float)
+    for k in range(2, len(v)):
+        # split off a last part of size k-j from an optimally composed prefix
+        m = (env[1:k] + v[k - 1 : 0 : -1]).min()
+        if m < env[k]:
+            env[k] = m
+    return env
+
+
 def subadditive_envelope(phi: ErrorFn) -> ErrorFn:
     """Largest subadditive minorant of the table.
 
     ``out[k]`` is the cheapest way to write offset k as a sum of positive
     offsets, paying the table value for each part; ``out[0]`` equals the
     input at 0.  The output is subadditive, dominated by the input, and the
-    map is idempotent and monotone in its argument.
+    map is idempotent and monotone in its argument.  When every
+    ``phi[k] >= k * phi[1]``, as for convex tables vanishing at 0, unit parts
+    are cheapest: ``out[k] = k * phi[1]``, in O(N).
     """
     v = phi.values
-    n = len(v)
-    env = v.astype(float).copy()
-    for k in range(2, n):
-        # split off a last part of size k-j from an optimally composed prefix
-        candidates = env[1:k] + v[k - 1 : 0 : -1]
-        m = candidates.min()
-        if m < env[k]:
-            env[k] = m
-    return ErrorFn(phi.grid_step, env)
+    if not _star_shaped(v):
+        return ErrorFn(phi.grid_step, _sigma_loop(v))
+    return ErrorFn(phi.grid_step, np.concatenate([v[:1], np.arange(1, len(v)) * v[1]]))
 
 
 def _lattice_shortest_paths(costs: np.ndarray) -> np.ndarray:

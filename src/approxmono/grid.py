@@ -231,6 +231,13 @@ def offsets_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
     return phi.values[: f.grid.count]
 
 
+@np.errstate(over="ignore")  # a ramp past the double range fails the test
+def _star_shaped(table: np.ndarray) -> bool:
+    """True when ``table[k] >= k * table[1]`` for every offset k >= 1."""
+    return bool(np.all(table[1:] >= np.arange(1, len(table)) * table[1]))
+
+
+@np.errstate(over="ignore")
 def _max_violation(
     rows: int, margins: Callable[[int], np.ndarray], tol: float, first: int = 0
 ) -> tuple[int, int] | None:
@@ -238,6 +245,7 @@ def _max_violation(
 
     Rows are scanned in order and only a strictly larger margin replaces the
     current best, so ties resolve to the first row, then the first position.
+    Inputs are finite, so a margin of +inf overflowed: OverflowError.
     """
     best_margin = tol
     best = None
@@ -246,6 +254,8 @@ def _max_violation(
         pos = int(np.argmax(row))
         m = float(row[pos])
         if m > best_margin:
+            if m == math.inf:
+                raise OverflowError("violation margin overflows the double range")
             best_margin = m
             best = (r, pos)
     return best
@@ -357,20 +367,21 @@ def ingest_samples(records: Iterable[tuple[float, float]]) -> SampledFn:
     recs = [(float(t), float(v)) for t, v in records]
     if len(recs) < 2:
         raise IngestionError(f"need at least 2 records, got {len(recs)}")
-    for i, (t, v) in enumerate(recs):
-        if not (math.isfinite(t) and math.isfinite(v)):
-            raise IngestionError(f"record {i}: non-finite entry ({t}, {v})")
-    ts = np.array([t for t, _ in recs])
-    vs = np.array([v for _, v in recs])
+    ts, vs = np.array(recs).T
+    bad = np.flatnonzero(~(np.isfinite(ts) & np.isfinite(vs)))
+    if len(bad):
+        raise IngestionError(f"record {bad[0]}: non-finite entry {recs[bad[0]]}")
     diffs = np.diff(ts)
-    for i, d in enumerate(diffs):
-        if d <= 0:
-            word = "duplicate" if d == 0 else "decreasing"
-            raise IngestionError(f"record {i + 1}: {word} abscissa {ts[i + 1]}")
+    bad = np.flatnonzero(diffs <= 0)
+    if len(bad):
+        i = int(bad[0])
+        word = "duplicate" if diffs[i] == 0 else "decreasing"
+        raise IngestionError(f"record {i + 1}: {word} abscissa {ts[i + 1]}")
     step = float(np.median(diffs))
-    for i, d in enumerate(diffs):
-        if abs(d - step) > SPACING_RTOL * step:
-            raise IngestionError(
-                f"record {i + 1}: spacing {d} deviates from inferred step {step}"
-            )
+    bad = np.flatnonzero(np.abs(diffs - step) > SPACING_RTOL * step)
+    if len(bad):
+        i = int(bad[0])
+        raise IngestionError(
+            f"record {i + 1}: spacing {diffs[i]} deviates from inferred step {step}"
+        )
     return SampledFn(Grid(float(ts[0]), step, len(recs)), vs)

@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from approxmono import (
     ErrorFn,
@@ -94,6 +95,57 @@ def brute_sigma(values) -> np.ndarray:
                 best = cost
         out[k] = best
     return out
+
+
+def loop_sigma(values) -> np.ndarray:
+    """The quadratic min-plus recurrence over the last part of each offset."""
+    v = np.asarray(values, dtype=float)
+    n = len(v)
+    env = v.astype(float).copy()
+    for k in range(2, n):
+        candidates = env[1:k] + v[k - 1 : 0 : -1]
+        m = candidates.min()
+        if m < env[k]:
+            env[k] = m
+    return env
+
+
+def loop_variation(fv, table, start: int, end: int) -> np.ndarray:
+    """The quadratic variation dynamic program over the last partition node."""
+    seg = np.asarray(fv, dtype=float)[start : end + 1]
+    table = np.asarray(table, dtype=float)
+    m = end - start + 1
+    prefix = np.empty(m)
+    prefix[0] = 0.0
+    for i in range(1, m):
+        prefix[i] = (prefix[:i] + (np.abs(seg[i] - seg[:i]) - table[i:0:-1])).max()
+    return prefix
+
+
+def same_bits(a, b) -> bool:
+    """Equal values and equal sign bits, so +0.0 and -0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def star_shaped_table(draw, min_size: int = 2, max_size: int = 64) -> np.ndarray:
+    """Dyadic table with ``t[k] >= k * t[1]`` for every k >= 1.
+
+    Either a ramp ``k * c`` plus nonnegative extras (often zero, so many
+    offsets sit exactly on the ramp; any value at offset 0), or the
+    cumulative sums of nondecreasing increments (a convex table, 0 at 0).
+    """
+    n = draw(st.integers(min_size, max_size))
+    ints = st.integers(0, 1 << 16)
+    if draw(st.booleans()):
+        c = draw(ints)
+        extras = draw(st.lists(st.one_of(st.just(0), ints), min_size=n, max_size=n))
+        extras[1] = 0  # t[1] is the slope of the ramp
+        vals = np.arange(n) * float(c) + np.array(extras, dtype=float)
+    else:
+        steps = sorted(draw(st.lists(ints, min_size=n - 1, max_size=n - 1)))
+        vals = np.concatenate([[0.0], np.cumsum(np.array(steps, dtype=float))])
+    return vals * SCALE
 
 
 def brute_alpha(values) -> np.ndarray:

@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from approxmono import ErrorFn, SampledFn, is_phi_monotone, make_grid
-from approxmono.cli import ErrorSpec, run
+from approxmono.cli import ErrorSpec, RunReport, Section, _build_parser, _emit, run
 from approxmono.csvio import (
     error_from_csv,
     error_to_csv,
@@ -525,3 +526,28 @@ class TestOverflowExit1:
         err = capsys.readouterr().err
         assert "overflows the double range" in err
         assert "not finite" not in err
+
+
+class TestCheckOverflowExit1:
+    @pytest.mark.parametrize("mode", ["monotone", "holder"])
+    def test_overflowing_margins(self, tmp_path, capsys, mode):
+        path = tmp_path / "f.csv"
+        write_samples(path, [1e308, -1e308, 1e308])
+        argv = ["check", "--input", str(path), "--error", "const:0", "--mode", mode]
+        status, _ = run(argv)
+        out, err = capsys.readouterr()
+        assert status == 1
+        assert out == ""
+        assert "overflows the double range" in err
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_emit_refuses_non_finite_json(self, tmp_path, fmt):
+        output = tmp_path / "out.csv"
+        argv = ["check", "--input", "f.csv", "--error", "const:0", "--format", fmt]
+        args = _build_parser().parse_args(argv + ["--output", str(output)])
+        report = RunReport("check", parameters={"tolerance": math.inf})
+        section = Section("check", "ok\n", {"ok": False})
+        with pytest.raises(ValueError):
+            _emit(args, report, [section], False)
+        assert list(tmp_path.iterdir()) == []

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from approxmono import error_envelopes
 from approxmono import (
     ErrorFn,
     PowerErrorSpec,
@@ -24,10 +27,13 @@ from helpers import (
     brute_alpha,
     brute_sigma,
     dyadic,
+    loop_sigma,
     rand_concave_increasing_error,
     rand_error,
     rand_fn,
+    same_bits,
     separating_step_fn,
+    star_shaped_table,
 )
 
 
@@ -335,3 +341,53 @@ class TestMembershipInvariance:
             assert f.values[w.indices[0]] - f.values[w.indices[1]] > psi.values[
                 w.indices[1] - w.indices[0]
             ]
+
+
+class TestLinearSigma:
+    """Tables with phi[k] >= k * phi[1] take the closed form
+    sigma[k] = k * phi[1]; the quadratic recurrence is the oracle."""
+
+    @given(star_shaped_table())
+    @settings(max_examples=300, deadline=None)
+    def test_star_shaped_dyadic_equals_loop(self, vals):
+        got = subadditive_envelope(ErrorFn(1.0, vals)).values
+        assert same_bits(got, loop_sigma(vals))
+        if len(vals) <= 10:
+            assert same_bits(got, brute_sigma(vals))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [7, 300, 2000])
+    def test_power_tables_within_rounding(self, p, n):
+        phi = power_error(PowerErrorSpec(0.3, p), 1.0 / (n - 1), n)
+        got = subadditive_envelope(phi).values
+        gap = np.abs(got - loop_sigma(phi.values)).max()
+        assert gap <= n * 2.0**-52 * phi.values.max()
+        assert np.all(got <= phi.values)
+
+    def test_one_offset_below_the_ramp_takes_the_loop(self, monkeypatch):
+        calls = []
+        loop = error_envelopes._sigma_loop
+        monkeypatch.setattr(
+            error_envelopes, "_sigma_loop", lambda v: calls.append(1) or loop(v)
+        )
+        vals = np.arange(9) * 0.3  # on the ramp, not dyadic
+        assert same_bits(subadditive_envelope(ErrorFn(1.0, vals)).values, vals)
+        assert calls == []
+        vals[5] = np.nextafter(vals[5], 0.0)
+        got = subadditive_envelope(ErrorFn(1.0, vals)).values
+        assert calls == [1]
+        assert same_bits(got, loop_sigma(vals))
+
+    def test_ramp_past_double_range_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = subadditive_envelope(ErrorFn(1.0, [0.0, 1e308, 1e308])).values
+        assert list(got) == [0.0, 1e308, 1e308]
+
+    def test_value_at_origin_is_kept(self):
+        got = subadditive_envelope(ErrorFn(1.0, [0.5, 1.0, 2.0, 3.5])).values
+        assert list(got) == [0.5, 1.0, 2.0, 3.0]
+
+    def test_zero_unit_step(self):
+        got = subadditive_envelope(ErrorFn(1.0, [0.0, 0.0, 1.0, 5.0])).values
+        assert same_bits(got, np.zeros(4))

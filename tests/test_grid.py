@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from approxmono import (
     is_phi_holder,
     is_phi_monotone,
     make_grid,
+    monotone_sandwich,
     pointwise_extrema,
 )
 from helpers import SCALE, dyadic, mono_member, rand_error, rand_fn
@@ -103,6 +106,66 @@ class TestIngest:
     def test_too_short(self):
         with pytest.raises(IngestionError):
             ingest_samples([(0, 1)])
+
+
+class TestIngestNamesFirstFault:
+    """10k records with two faults of one kind: the message names the first."""
+
+    @staticmethod
+    def records():
+        return [(0.5 * i, float(i % 7)) for i in range(10_000)]
+
+    def message(self, recs):
+        with pytest.raises(IngestionError) as exc:
+            ingest_samples(recs)
+        return str(exc.value)
+
+    def test_non_finite(self):
+        recs = self.records()
+        recs[100] = recs[99]  # order faults are checked after finiteness
+        recs[3001] = (1500.5, float("nan"))
+        recs[7002] = (float("inf"), 2.0)
+        assert self.message(recs) == "record 3001: non-finite entry (1500.5, nan)"
+
+    def test_duplicate_then_decreasing(self):
+        recs = self.records()
+        recs[4000] = (1999.5, 1.0)
+        recs[8000] = (3998.0, 1.0)
+        assert self.message(recs) == "record 4000: duplicate abscissa 1999.5"
+        recs[4000] = (1999.0, 1.0)
+        assert self.message(recs) == "record 4000: decreasing abscissa 1999.0"
+
+    def test_spacing(self):
+        recs = self.records()
+        recs[2500] = (1250.1, 0.0)
+        recs[6000] = (3000.2, 0.0)
+        d = np.diff([t for t, _ in recs])[2499]
+        want = f"record 2500: spacing {d} deviates from inferred step 0.5"
+        assert self.message(recs) == want
+
+
+class TestMembershipOverflow:
+    """Margins beyond the double range raise OverflowError, with no numpy
+    warning and no infinite witness."""
+
+    f = [1e308, -1e308, 1e308]
+
+    @pytest.mark.parametrize("check", [is_phi_monotone, is_phi_holder])
+    def test_checks(self, check):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflows the double range"):
+                check(sfn(self.f), efn(np.zeros(3)))
+
+    def test_monotone_sandwich(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflows the double range"):
+                monotone_sandwich(sfn(self.f), sfn([-1e308] * 3), efn(np.zeros(3)))
+
+    def test_large_finite_margin_still_a_witness(self):
+        ok, w = is_phi_holder(sfn([1e307, -1e307, 1e307]), efn(np.zeros(3)))
+        assert not ok and w.lhs == 2e307
 
 
 class TestMonotoneCheck:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from approxmono import error_envelopes, variation
 from approxmono import (
     ErrorFn,
     Partition,
+    PowerErrorSpec,
     PreconditionError,
     SampledFn,
     delta_variation_bound,
@@ -14,9 +18,21 @@ from approxmono import (
     make_grid,
     monotone_lower_envelope,
     phi_variation,
+    power_error,
+    subadditive_envelope,
     total_phi_variation,
 )
-from helpers import brute_variation, dyadic, mono_member, rand_error, rand_fn
+from helpers import (
+    SCALE,
+    brute_variation,
+    dyadic,
+    loop_variation,
+    mono_member,
+    rand_error,
+    rand_fn,
+    same_bits,
+    star_shaped_table,
+)
 
 
 def efn(vals, step=1.0):
@@ -255,3 +271,78 @@ class TestOverflow:
         f = sfn([1e307, -1e307, 1e307])
         table = total_phi_variation(f, efn(np.zeros(3)))
         assert list(table.prefix) == [0.0, 2e307, 4e307]
+
+
+@st.composite
+def star_case(draw, max_size=64):
+    """(f, phi, start, end): a star-shaped dyadic table and a dyadic f."""
+    vals = draw(star_shaped_table(max_size=max_size))
+    n = len(vals)
+    ints = draw(st.lists(st.integers(-(1 << 17), 1 << 17), min_size=n, max_size=n))
+    start = draw(st.integers(0, n - 2))
+    end = draw(st.integers(start + 1, n - 1))
+    return sfn(np.array(ints, dtype=float) * SCALE), efn(vals), start, end
+
+
+class TestLinearVariation:
+    """With phi[k] >= k * phi[1] the finest partition is optimal, so the
+    variation is a running sum; the quadratic program is the oracle."""
+
+    @given(star_case())
+    @settings(max_examples=300, deadline=None)
+    def test_star_shaped_dyadic_equals_loop(self, case):
+        f, phi, start, end = case
+        got = total_phi_variation(f, phi, start, end).prefix
+        assert same_bits(got, loop_variation(f.values, phi.values, start, end))
+        if end - start < 10:
+            for i in range(start + 1, end + 1):
+                want = brute_variation(f.values, phi.values, start, i)
+                assert got[i - start] == want
+
+    @given(star_case())
+    @settings(max_examples=200, deadline=None)
+    def test_jordan_halves_equal_loop_halves(self, case):
+        f, phi, anchor, _ = case
+        n = f.grid.count
+        prefix = loop_variation(f.values, 2.0 * phi.values, anchor, n - 1)
+        seg = f.values[anchor:]
+        pair = jordan_decompose(f, phi, anchor)
+        assert same_bits(pair.g.values, 0.5 * (prefix + seg))
+        assert same_bits(pair.h.values, 0.5 * (prefix - seg))
+
+    @given(star_case(max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_holder_via_variation_agrees_with_pair_check(self, case):
+        f, phi, _, _ = case
+        assert is_holder_via_variation(f, phi, 0.0) == is_phi_holder(f, phi, 0.0)[0]
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [7, 300, 2000])
+    def test_power_tables_within_rounding(self, p, n):
+        step = 1.0 / (n - 1)
+        rng = np.random.default_rng(int(10 * p) + n)
+        f = sfn(np.cumsum(rng.normal(size=n)) * step**0.5, step=step)
+        phi = power_error(PowerErrorSpec(0.3, p), step, n)
+        got = total_phi_variation(f, phi).prefix
+        scale = np.abs(np.diff(f.values)).sum() + n * phi.values[1]
+        gap = np.abs(got - loop_variation(f.values, phi.values, 0, n - 1)).max()
+        assert gap <= n * 2.0**-52 * scale
+
+
+class TestStarShapedTablesSkipTheLoops:
+    def test_power_1_5_at_5000_nodes(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("quadratic loop entered")
+
+        monkeypatch.setattr(error_envelopes, "_sigma_loop", forbidden)
+        monkeypatch.setattr(variation, "_variation_loop", forbidden)
+        n = 5000
+        step = 1.0 / (n - 1)
+        phi = power_error(PowerErrorSpec(1.0, 1.5), step, n)
+        f = sfn(np.sin(np.arange(n) * 0.01), step=step)
+        subadditive_envelope(phi)
+        monotone_lower_envelope(f, phi)
+        total_phi_variation(f, phi, 17, n - 1)
+        jordan_decompose(f, phi, 3)
+        member = monotone_lower_envelope(f, phi)
+        delta_variation_bound(member, member, phi, phi)
