@@ -20,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .csvio import error_to_csv, samples_from_csv, samples_to_csv
-from .csvio import error_from_csv
+from .csvio import error_from_csv, error_to_csv, samples_from_csv, samples_to_csv
 from .error_envelopes import (
     PowerErrorSpec,
     absolutely_subadditive_envelope,
@@ -40,12 +39,8 @@ from .function_envelopes import (
 )
 from .grid import (
     DEFAULT_TOL,
-    ConfigurationError,
-    DimensionMismatchError,
     ErrorFn,
     Grid,
-    GridError,
-    IngestionError,
     PreconditionError,
     SampledFn,
     Witness,
@@ -64,50 +59,8 @@ BRACKET_BOUNDARY_NOTE = (
     "ranges are empty there; companion membership holds away from those nodes"
 )
 
-
-@dataclass(frozen=True)
-class ErrorSpec:
-    """Parsed error-table spec: power:<eps>,<p> | const:<c> | file:<path>."""
-
-    kind: str
-    epsilon: float = 0.0
-    p: float = 1.0
-    constant: float = 0.0
-    path: str = ""
-
-    @staticmethod
-    def parse(text: str) -> "ErrorSpec":
-        head, sep, rest = text.partition(":")
-        if not sep:
-            raise ValueError(f"error spec {text!r} has no ':' separator")
-        if head == "power":
-            parts = rest.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"power spec needs eps,p, got {rest!r}")
-            eps, p = float(parts[0]), float(parts[1])
-            if eps < 0:
-                raise ValueError(f"power spec epsilon must be >= 0, got {eps}")
-            return ErrorSpec("power", epsilon=eps, p=p)
-        if head == "const":
-            c = float(rest)
-            if c < 0:
-                raise ValueError(f"const spec value must be >= 0, got {c}")
-            return ErrorSpec("constant", constant=c)
-        if head == "file":
-            if not rest:
-                raise ValueError("file spec needs a path")
-            return ErrorSpec("table", path=rest)
-        raise ValueError(f"unknown error spec kind {head!r}")
-
-    def realize(self, grid: Grid, report: "RunReport") -> ErrorFn:
-        if self.kind == "power":
-            return power_error(
-                PowerErrorSpec(self.epsilon, self.p), grid.step, grid.count
-            )
-        if self.kind == "constant":
-            return ErrorFn(grid.step, np.full(grid.count, self.constant))
-        text = _read_text(self.path, report)
-        return error_from_csv(text)
+# flags that name where data comes from or goes, not how it is computed
+_NOT_PARAMETERS = ("command", "input", "input2", "format", "output")
 
 
 @dataclass
@@ -130,9 +83,26 @@ class RunReport:
 
 @dataclass(frozen=True)
 class Section:
+    """One named output: a sampled function, an error table or a verdict.
+
+    A verdict dict has no CSV form, so a run that emits one writes JSON.
+    """
+
     name: str
-    csv_text: str
-    data: dict
+    body: SampledFn | ErrorFn | dict
+
+    def csv(self) -> str:
+        if isinstance(self.body, SampledFn):
+            return samples_to_csv(self.body)
+        return error_to_csv(self.body)
+
+    def data(self) -> dict:
+        body = self.body
+        if isinstance(body, SampledFn):
+            return {"t": body.grid.nodes().tolist(), "value": body.values.tolist()}
+        if isinstance(body, ErrorFn):
+            return {"u": body.offsets().tolist(), "phi": body.values.tolist()}
+        return body
 
 
 class _UsageError(Exception):
@@ -150,20 +120,28 @@ def _read_text(path: str, report: RunReport) -> str:
     return data.decode("utf-8")
 
 
-def _samples_section(name: str, fn: SampledFn) -> Section:
-    return Section(
-        name,
-        samples_to_csv(fn),
-        {"t": [float(t) for t in fn.grid.nodes()], "value": [float(v) for v in fn.values]},
-    )
+def _error_table(text: str, grid: Grid, report: RunReport) -> ErrorFn:
+    """Table of a spec power:<eps>,<p> | const:<c> | file:<path> on ``grid``.
 
-
-def _error_section(name: str, phi: ErrorFn) -> Section:
-    return Section(
-        name,
-        error_to_csv(phi),
-        {"u": [float(u) for u in phi.offsets()], "phi": [float(v) for v in phi.values]},
-    )
+    Ranges are checked by `PowerErrorSpec` and `ErrorFn`; a file's digest
+    goes into ``report.inputs``.
+    """
+    head, sep, rest = text.partition(":")
+    if not sep:
+        raise ValueError(f"error spec {text!r} has no ':' separator")
+    if head == "power":
+        parts = rest.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"power spec needs eps,p, got {rest!r}")
+        spec = PowerErrorSpec(float(parts[0]), float(parts[1]))
+        return power_error(spec, grid.step, grid.count)
+    if head == "const":
+        return ErrorFn(grid.step, np.full(grid.count, float(rest)))
+    if head == "file":
+        if not rest:
+            raise ValueError("file spec needs a path")
+        return error_from_csv(_read_text(rest, report))
+    raise ValueError(f"unknown error spec kind {head!r}")
 
 
 def _build_parser() -> _Parser:
@@ -208,7 +186,7 @@ def _build_parser() -> _Parser:
 
     sp = add("bracket", "two-sided bracket of the input")
     sp.add_argument("--mode", choices=("monotone", "holder"), default="monotone")
-    sp.add_argument("--error2", default=None, help="companion error spec")
+    sp.add_argument("--error2", default="const:0", help="companion error spec")
 
     for name, help_text in (
         ("variation", "prefix table of the total discounted variation"),
@@ -223,133 +201,100 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_tolerance(args) -> float:
-    if args.tolerance is not None:
+def _resolve(args, report: RunReport) -> dict:
+    """Read --input and --input2, resolve the tolerance, realize the tables.
+
+    Every flag but `_NOT_PARAMETERS` is a parameter; the tolerance resolves
+    from the flag, then $APPROXMONO_TOL, then DEFAULT_TOL.  The parameters
+    go into ``report.parameters`` with error specs as text.  Returns the
+    handler's keyword arguments: the samples ``f`` (and ``h``) and the
+    parameters with error specs realized as tables.
+    """
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    resolved = {"f": samples_from_csv(_read_text(args.input, report))}
+    if "input2" in args:
+        resolved["h"] = samples_from_csv(_read_text(args.input2, report))
+    if "tolerance" in params:
         tol = args.tolerance
-    else:
-        env = os.environ.get(TOL_ENV_VAR)
-        tol = float(env) if env is not None else DEFAULT_TOL
-    return check_tolerance(tol)
+        if tol is None:
+            env = os.environ.get(TOL_ENV_VAR)
+            tol = DEFAULT_TOL if env is None else float(env)
+        params["tolerance"] = check_tolerance(tol)
+    report.parameters.update(params)
+    resolved.update(params)
+    for key in ("error", "error2"):
+        if key in params:
+            resolved[key] = _error_table(params[key], resolved["f"].grid, report)
+    return resolved
 
 
-def _load_samples(path: str, report: RunReport) -> SampledFn:
-    return samples_from_csv(_read_text(path, report))
-
-
-def _resolve_error(
-    spec_text: str, grid: Grid, report: RunReport, label: str
-) -> ErrorFn:
-    spec = ErrorSpec.parse(spec_text)
-    report.parameters[label] = spec_text
-    return spec.realize(grid, report)
-
-
-def _cmd_check(args, report):
-    f = _load_samples(args.input, report)
-    tol = _resolve_tolerance(args)
-    report.parameters.update(tolerance=tol, mode=args.mode)
-    phi = _resolve_error(args.error, f.grid, report, "error")
-    check = is_phi_holder if args.mode == "holder" else is_phi_monotone
-    ok, witness = check(f, phi, tol)
+def _cmd_check(report, f, error, tolerance, mode):
+    check = is_phi_holder if mode == "holder" else is_phi_monotone
+    ok, witness = check(f, error, tolerance)
     if witness is not None:
         report.witnesses.append(witness)
-    section = Section("check", "", {"ok": ok, "mode": args.mode})
-    return (0 if ok else 2), [section], True
+    return [Section("check", {"ok": ok, "mode": mode})]
 
 
-def _cmd_envelope_error(args, report):
-    f = _load_samples(args.input, report)
-    report.parameters.update(kind=args.kind)
-    phi = _resolve_error(args.error, f.grid, report, "error")
-    cut = ErrorFn(phi.grid_step, offsets_table(f, phi))
-    if args.kind == "sigma":
-        return 0, [_error_section("envelope", subadditive_envelope(cut))], False
-    return 0, [_error_section("envelope", absolutely_subadditive_envelope(cut))], False
+def _cmd_envelope_error(report, f, error, kind):
+    op = subadditive_envelope if kind == "sigma" else absolutely_subadditive_envelope
+    return [Section("envelope", op(ErrorFn(error.grid_step, offsets_table(f, error))))]
 
 
-def _cmd_envelope(args, report):
-    f = _load_samples(args.input, report)
-    report.parameters.update(mode=args.mode, side=args.side)
-    phi = _resolve_error(args.error, f.grid, report, "error")
-    if args.mode == "monotone":
-        op = monotone_lower_envelope if args.side == "lower" else monotone_upper_envelope
-        out = op(f, phi)
-    else:
-        op = holder_lower_envelope if args.side == "lower" else holder_upper_envelope
-        out = op(f, phi)
-    return 0, [_samples_section("envelope", out)], False
+def _cmd_envelope(report, f, error, mode, side):
+    op = {
+        ("monotone", "lower"): monotone_lower_envelope,
+        ("monotone", "upper"): monotone_upper_envelope,
+        ("holder", "lower"): holder_lower_envelope,
+        ("holder", "upper"): holder_upper_envelope,
+    }[mode, side]
+    return [Section("envelope", op(f, error))]
 
 
-def _cmd_sandwich(args, report):
-    g = _load_samples(args.input, report)
-    h = _load_samples(args.input2, report)
-    tol = _resolve_tolerance(args)
-    report.parameters.update(tolerance=tol, mode=args.mode)
-    phi = _resolve_error(args.error, g.grid, report, "error")
-    if args.mode == "monotone":
-        fn, witness = monotone_sandwich(g, h, phi, tol)
-    else:
-        fn, witness = holder_sandwich(g, h, phi, tol)
+def _cmd_sandwich(report, f, h, error, tolerance, mode):
+    op = holder_sandwich if mode == "holder" else monotone_sandwich
+    fn, witness = op(f, h, error, tolerance)
     if fn is None:
         report.witnesses.append(witness)
-        return 2, [Section("sandwich", "", {"feasible": False})], True
-    return 0, [_samples_section("sandwich", fn)], False
+        return [Section("sandwich", {"feasible": False})]
+    return [Section("sandwich", fn)]
 
 
-def _cmd_bracket(args, report):
-    f = _load_samples(args.input, report)
-    tol = _resolve_tolerance(args)
-    report.parameters.update(tolerance=tol, mode=args.mode)
-    phi = _resolve_error(args.error, f.grid, report, "error")
-    psi = _resolve_error(args.error2 or "const:0", f.grid, report, "error2")
+def _cmd_bracket(report, f, error, error2, tolerance, mode):
+    if mode == "monotone":
+        report.parameters["boundary_note"] = BRACKET_BOUNDARY_NOTE
+    op = holder_bracket if mode == "holder" else monotone_bracket
     try:
-        if args.mode == "monotone":
-            report.parameters["boundary_note"] = BRACKET_BOUNDARY_NOTE
-            pair = monotone_bracket(f, phi, psi, tol)
-        else:
-            pair = holder_bracket(f, phi, psi, tol)
+        pair = op(f, error, error2, tolerance)
     except PreconditionError as exc:
         if exc.witness is None:
             raise
         report.witnesses.append(exc.witness)
-        return 2, [Section("bracket", "", {"feasible": False})], True
-    sections = [
-        _samples_section("lower", pair.lower),
-        _samples_section("upper", pair.upper),
-    ]
+        return [Section("bracket", {"feasible": False})]
+    sections = [Section("lower", pair.lower), Section("upper", pair.upper)]
     if pair.gap_bound is not None:
-        sections.append(
-            _samples_section("gap", SampledFn(f.grid, pair.gap_bound))
-        )
-    return 0, sections, False
+        sections.append(Section("gap", SampledFn(f.grid, pair.gap_bound)))
+    return sections
 
 
-def _cmd_variation(args, report):
-    f = _load_samples(args.input, report)
-    report.parameters.update(anchor=args.anchor)
-    phi = _resolve_error(args.error, f.grid, report, "error")
-    table = total_phi_variation(f, phi, args.anchor, f.grid.count - 1)
-    fn = SampledFn(
-        Grid(f.grid.node(args.anchor), f.grid.step, len(table.prefix)), table.prefix
-    )
-    return 0, [_samples_section("variation", fn)], False
+def _cmd_variation(report, f, error, anchor):
+    table = total_phi_variation(f, error, anchor, f.grid.count - 1)
+    sub = Grid(f.grid.node(anchor), f.grid.step, len(table.prefix))
+    return [Section("variation", SampledFn(sub, table.prefix))]
 
 
-def _cmd_jordan(args, report):
-    f = _load_samples(args.input, report)
-    report.parameters.update(anchor=args.anchor)
-    phi = _resolve_error(args.error, f.grid, report, "error")
-    pair = jordan_decompose(f, phi, args.anchor)
-    return 0, [_samples_section("g", pair.g), _samples_section("h", pair.h)], False
+def _cmd_jordan(report, f, error, anchor):
+    pair = jordan_decompose(f, error, anchor)
+    return [Section("g", pair.g), Section("h", pair.h)]
 
 
-def _cmd_individual(args, report):
-    f = _load_samples(args.input, report)
-    report.parameters.update(kind=args.kind)
-    op = individual_sigma if args.kind == "sigma" else individual_alpha
-    return 0, [_error_section("individual", op(f))], False
+def _cmd_individual(report, f, kind):
+    op = individual_sigma if kind == "sigma" else individual_alpha
+    return [Section("individual", op(f))]
 
 
+# each handler takes the report and the resolved values, appends any witness
+# to the report and returns its sections; a witness makes the exit status 2
 _COMMANDS = {
     "check": _cmd_check,
     "envelope-error": _cmd_envelope_error,
@@ -367,14 +312,13 @@ def _derived_path(base: str, name: str) -> str:
     return str(p.with_name(f"{p.stem}.{name}{p.suffix}"))
 
 
-def _emit(args, report: RunReport, sections: list[Section], force_json: bool) -> None:
-    as_json = force_json or args.format == "json"
-    if as_json:
+def _emit(args, report: RunReport, sections: list[Section]) -> None:
+    if args.format == "json" or any(isinstance(s.body, dict) for s in sections):
         target = args.output or "-"
         report.outputs = [target]
         doc = {
             "command": report.command,
-            "data": {s.name: s.data for s in sections},
+            "data": {s.name: s.data() for s in sections},
             "report": report.to_dict(),
         }
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -393,11 +337,11 @@ def _emit(args, report: RunReport, sections: list[Section], force_json: bool) ->
         # serialized first, so a non-finite value leaves no file behind
         text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
         for path, section in zip(paths, sections):
-            Path(path).write_text(section.csv_text, encoding="utf-8")
+            Path(path).write_text(section.csv(), encoding="utf-8")
         Path(sidecar).write_text(text + "\n", encoding="utf-8")
     else:
         report.outputs = ["-"]
-        sys.stdout.write("\n".join(s.csv_text for s in sections))
+        sys.stdout.write("\n".join(s.csv() for s in sections))
 
 
 def run(argv: Sequence[str]) -> tuple[int, RunReport | None]:
@@ -412,22 +356,14 @@ def run(argv: Sequence[str]) -> tuple[int, RunReport | None]:
         return int(exc.code or 0), None
     report = RunReport(command=args.command)
     try:
-        status, sections, force_json = _COMMANDS[args.command](args, report)
-        _emit(args, report, sections, force_json)
-        return status, report
+        sections = _COMMANDS[args.command](report, **_resolve(args, report))
+        _emit(args, report, sections)
+        return (2 if report.witnesses else 0), report
     except PreconditionError as exc:
         print(f"approxmono: precondition failed: {exc}", file=sys.stderr)
         return 1, report
-    except (
-        IngestionError,
-        GridError,
-        DimensionMismatchError,
-        ConfigurationError,
-        OverflowError,
-        FileNotFoundError,
-        IsADirectoryError,
-        PermissionError,
-        ValueError,
+    except (  # the package's own errors all subclass ValueError
+        ValueError, OverflowError, FileNotFoundError, IsADirectoryError, PermissionError
     ) as exc:
         print(f"approxmono: error: {exc}", file=sys.stderr)
         return 1, report

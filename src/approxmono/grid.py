@@ -137,11 +137,6 @@ class Grid:
         )
 
 
-def make_grid(origin: float, step: float, count: int) -> Grid:
-    """Construct a validated uniform grid."""
-    return Grid(origin, step, count)
-
-
 def _frozen_values(values, length: int | None, label: str) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
@@ -360,9 +355,9 @@ def ingest_samples(records: Iterable[tuple[float, float]]) -> SampledFn:
     """Build a SampledFn from (t, value) records on a uniform time grid.
 
     Requires at least two records with strictly increasing, uniformly spaced
-    abscissas (relative spacing tolerance 1e-9) and finite values.  The grid
-    step is the median spacing; nonuniform input is rejected rather than
-    resampled.
+    abscissas (relative spacing tolerance 1e-9) whose span stays in the double
+    range, and finite values.  The grid step is the median spacing; nonuniform
+    input is rejected rather than resampled.
     """
     recs = [(float(t), float(v)) for t, v in records]
     if len(recs) < 2:
@@ -371,12 +366,20 @@ def ingest_samples(records: Iterable[tuple[float, float]]) -> SampledFn:
     bad = np.flatnonzero(~(np.isfinite(ts) & np.isfinite(vs)))
     if len(bad):
         raise IngestionError(f"record {bad[0]}: non-finite entry {recs[bad[0]]}")
-    diffs = np.diff(ts)
+    with np.errstate(over="ignore"):
+        diffs = np.diff(ts)
+        spans = ts - ts[0]
     bad = np.flatnonzero(diffs <= 0)
     if len(bad):
         i = int(bad[0])
         word = "duplicate" if diffs[i] == 0 else "decreasing"
         raise IngestionError(f"record {i + 1}: {word} abscissa {ts[i + 1]}")
+    # past this point no spacing, step or node overflows
+    bad = np.flatnonzero(spans == math.inf)
+    if len(bad):
+        raise IngestionError(
+            f"record {bad[0]}: distance from the first abscissa overflows the double range"
+        )
     step = float(np.median(diffs))
     bad = np.flatnonzero(np.abs(diffs - step) > SPACING_RTOL * step)
     if len(bad):

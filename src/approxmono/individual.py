@@ -12,11 +12,6 @@ import numpy as np
 from .grid import ErrorFn, SampledFn
 
 
-def positive_part(x):
-    """max(x, 0), elementwise on arrays."""
-    return np.maximum(x, 0.0)
-
-
 def individual_sigma(f: SampledFn) -> ErrorFn:
     """Smallest table under which f passes the monotone check.
 
@@ -27,7 +22,7 @@ def individual_sigma(f: SampledFn) -> ErrorFn:
     n = len(v)
     out = np.zeros(n)
     for k in range(1, n):
-        out[k] = positive_part((v[: n - k] - v[k:]).max())
+        out[k] = np.maximum((v[: n - k] - v[k:]).max(), 0.0)
     return ErrorFn(f.grid.step, out)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .grid import (
     DEFAULT_TOL,
+    DimensionMismatchError,
     ErrorFn,
     Grid,
     PreconditionError,
@@ -191,7 +192,7 @@ def delta_variation_bound(
     """
     check_tolerance(tol)
     if not gq.grid.compatible(hq.grid):
-        raise ValueError("both functions must share one grid")
+        raise DimensionMismatchError("both functions must share one grid")
     ok, w = is_phi_monotone(gq, phi, tol)
     if not ok:
         raise PreconditionError("first function fails its monotone check", w)

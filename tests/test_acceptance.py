@@ -14,6 +14,7 @@ import pytest
 
 from approxmono import (
     ErrorFn,
+    Grid,
     PowerErrorSpec,
     SampledFn,
     absolutely_subadditive_envelope,
@@ -29,7 +30,6 @@ from approxmono import (
     is_phi_monotone,
     is_subadditive,
     jordan_decompose,
-    make_grid,
     monotone_bracket,
     monotone_lower_envelope,
     monotone_sandwich,
@@ -136,7 +136,7 @@ def test_c04_alpha_envelope_oracle():
 @criterion(5, "membership and envelopes are invariant under the subadditive minorant")
 def test_c05_subadditive_replacement_invariance():
     rng = np.random.default_rng(1005)
-    grid = make_grid(0.0, 1.0, 10)
+    grid = Grid(0.0, 1.0, 10)
     for trial in range(200):
         phi = rand_error(rng, 10)
         sigma = subadditive_envelope(phi)
@@ -155,7 +155,7 @@ def test_c05_subadditive_replacement_invariance():
 @criterion(6, "lower envelope is the extremal monotone minorant")
 def test_c06_envelope_extremality():
     rng = np.random.default_rng(1006)
-    grid = make_grid(0.0, 1.0, 11)
+    grid = Grid(0.0, 1.0, 11)
     for _ in range(200):
         phi = rand_error(rng, 11)
         f = rand_fn(rng, grid)
@@ -172,7 +172,7 @@ def test_c06_envelope_extremality():
 @criterion(7, "sandwich returns a function exactly when the pair inequality holds")
 def test_c07_sandwich_soundness_completeness():
     rng = np.random.default_rng(1007)
-    grid = make_grid(0.0, 1.0, 8)
+    grid = Grid(0.0, 1.0, 8)
     n = 8
     feasible = infeasible = 0
     for trial in range(200):
@@ -222,7 +222,7 @@ def test_c07_sandwich_soundness_completeness():
 def test_c08_bracket_contracts():
     rng = np.random.default_rng(1008)
     n = 9
-    grid = make_grid(0.0, 1.0, n)
+    grid = Grid(0.0, 1.0, n)
     # decreasing table with the zero companion: halves must be nondecreasing
     for _ in range(60):
         tail = np.sort(dyadic(rng, 0.125, 1.0, n - 1))[::-1]
@@ -262,7 +262,7 @@ def test_c09_variation_oracle_and_superadditivity():
     rng = np.random.default_rng(1009)
     for _ in range(300):
         n = int(rng.integers(2, 15))
-        f = rand_fn(rng, make_grid(0.0, 1.0, n))
+        f = rand_fn(rng, Grid(0.0, 1.0, n))
         phi = rand_error(rng, n, hi=0.5, zero_at_origin=False)
         table = total_phi_variation(f, phi)
         for b in range(1, n):
@@ -281,7 +281,7 @@ def test_c10_holder_equivalence():
     agree_true = agree_false = 0
     for trial in range(300):
         n = int(rng.integers(2, 11))
-        grid = make_grid(0.0, 1.0, n)
+        grid = Grid(0.0, 1.0, n)
         phi = rand_error(rng, n, zero_at_origin=False)
         if trial % 2:
             f = rand_fn(rng, grid, amp=0.5)
@@ -300,7 +300,7 @@ def test_c11_jordan_round_trip():
     rng = np.random.default_rng(1011)
     for _ in range(200):
         n = int(rng.integers(2, 12))
-        grid = make_grid(0.0, 1.0, n)
+        grid = Grid(0.0, 1.0, n)
         phi = rand_error(rng, n)
         g0 = mono_member(rng, grid, phi)
         h0 = mono_member(rng, grid, phi)
@@ -319,7 +319,7 @@ def test_c12_individual_tables():
     rng = np.random.default_rng(1012)
     for trial in range(300):
         n = int(rng.integers(2, 12))
-        grid = make_grid(0.0, 1.0, n)
+        grid = Grid(0.0, 1.0, n)
         phi = rand_error(rng, n)
         f = mono_member(rng, grid, phi) if trial % 2 else rand_fn(rng, grid)
         sig = individual_sigma(f)
@@ -337,7 +337,7 @@ def test_c12_individual_tables():
 def test_c13_performance():
     rng = np.random.default_rng(1013)
     n = 5000
-    grid = make_grid(0.0, 1.0, n)
+    grid = Grid(0.0, 1.0, n)
     f = SampledFn(grid, np.cumsum(rng.normal(size=n)))
     phi = ErrorFn(1.0, np.abs(rng.normal(size=n)) + 0.01)
 

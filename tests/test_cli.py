@@ -1,11 +1,20 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from approxmono import ErrorFn, SampledFn, is_phi_monotone, make_grid
-from approxmono.cli import ErrorSpec, RunReport, Section, _build_parser, _emit, run
+import approxmono
+from approxmono import (
+    ErrorFn,
+    Grid,
+    PowerErrorSpec,
+    SampledFn,
+    is_phi_monotone,
+    power_error,
+)
+from approxmono.cli import RunReport, Section, _build_parser, _emit, _error_table, run
 from approxmono.csvio import (
     error_from_csv,
     error_to_csv,
@@ -16,7 +25,7 @@ from helpers import dyadic, rand_fn
 
 
 def write_samples(path, values, origin=0.0, step=1.0):
-    fn = SampledFn(make_grid(origin, step, len(values)), values)
+    fn = SampledFn(Grid(origin, step, len(values)), values)
     path.write_text(samples_to_csv(fn))
     return fn
 
@@ -32,28 +41,41 @@ def holder_csv(tmp_path):
 
 
 class TestErrorSpec:
+    """`_error_table` realizes each spec kind on a grid."""
+
+    grid = Grid(0.0, 0.5, 4)
+
     def test_power(self):
-        spec = ErrorSpec.parse("power:1,0.5")
-        assert spec.kind == "power" and spec.epsilon == 1.0 and spec.p == 0.5
+        phi = _error_table("power:1,0.5", self.grid, RunReport("check"))
+        expected = power_error(PowerErrorSpec(1.0, 0.5), 0.5, 4)
+        assert phi.grid_step == 0.5
+        assert np.array_equal(phi.values, expected.values)
 
     def test_const(self):
-        assert ErrorSpec.parse("const:2").constant == 2.0
+        phi = _error_table("const:2", self.grid, RunReport("check"))
+        assert phi.grid_step == 0.5
+        assert list(phi.values) == [2.0] * 4
 
-    def test_file(self):
-        assert ErrorSpec.parse("file:phi.csv").path == "phi.csv"
+    def test_file(self, tmp_path):
+        path = tmp_path / "phi.csv"
+        path.write_text(error_to_csv(ErrorFn(0.5, [0.0, 1.0, 3.0])))
+        report = RunReport("check")
+        phi = _error_table(f"file:{path}", self.grid, report)
+        assert list(phi.values) == [0.0, 1.0, 3.0]
+        assert report.inputs == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
     @pytest.mark.parametrize(
         "text", ["power:1", "power:-1,2", "const:-3", "file:", "nope:1", "raw"]
     )
     def test_invalid(self, text):
         with pytest.raises(ValueError):
-            ErrorSpec.parse(text)
+            _error_table(text, self.grid, RunReport("check"))
 
 
 class TestCsvRoundTrip:
     def test_samples_round_trip_exact(self):
         rng = np.random.default_rng(221)
-        fn = SampledFn(make_grid(-1.25, 0.3, 40), rng.normal(size=40))
+        fn = SampledFn(Grid(-1.25, 0.3, 40), rng.normal(size=40))
         back = samples_from_csv(samples_to_csv(fn))
         assert np.array_equal(back.values, fn.values)
         assert back.grid.count == fn.grid.count
@@ -184,6 +206,18 @@ class TestRunEnvelopeAndSandwich:
         assert status == 0
         out = samples_from_csv(capsys.readouterr().out)
         assert np.all(out.values <= fn.values)
+
+    @pytest.mark.parametrize("mode", ["monotone", "holder"])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_envelope_mode_and_side(self, tmp_path, capsys, mode, side):
+        path = tmp_path / "f.csv"
+        fn = write_samples(path, dyadic(np.random.default_rng(228), -1, 1, 9))
+        argv = ["envelope", "--input", str(path), "--error", "power:0.125,1"]
+        assert run(argv + ["--mode", mode, "--side", side])[0] == 0
+        op = getattr(approxmono, f"{mode}_{side}_envelope")
+        expected = op(fn, power_error(PowerErrorSpec(0.125, 1.0), 1.0, 9))
+        out = samples_from_csv(capsys.readouterr().out)
+        assert np.array_equal(out.values, expected.values)
 
     def test_sandwich_feasible(self, tmp_path, capsys):
         rng = np.random.default_rng(229)
@@ -375,6 +409,14 @@ class TestOperationalErrors:
         status, _ = run(["check", "--input", str(path), "--error", "const:0"])
         assert status == 1
 
+    def test_overflowing_abscissa_span(self, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        path.write_text("t,value\n-1e308,0\n1e308,0\n")
+        status, _ = run(["check", "--input", str(path), "--error", "const:0"])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "record 1: distance from the first abscissa overflows" in err
+
     def test_bad_error_spec(self, holder_csv):
         status, _ = run(["check", "--input", str(holder_csv), "--error", "power:a,b"])
         assert status == 1
@@ -543,11 +585,53 @@ class TestCheckOverflowExit1:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_emit_refuses_non_finite_json(self, tmp_path, fmt):
+        # a verdict forces JSON; a sampled function in csv format takes the
+        # CSV path with its JSON sidecar
         output = tmp_path / "out.csv"
-        argv = ["check", "--input", "f.csv", "--error", "const:0", "--format", fmt]
+        argv = ["envelope", "--input", "f.csv", "--error", "const:0", "--format", fmt]
         args = _build_parser().parse_args(argv + ["--output", str(output)])
-        report = RunReport("check", parameters={"tolerance": math.inf})
-        section = Section("check", "ok\n", {"ok": False})
+        report = RunReport("envelope", parameters={"tolerance": math.inf})
+        body = {"ok": False} if fmt == "json" else SampledFn(Grid(0.0, 1.0, 2), [0, 1])
         with pytest.raises(ValueError):
-            _emit(args, report, [section], False)
+            _emit(args, report, [Section("envelope", body)])
         assert list(tmp_path.iterdir()) == []
+
+
+def csv_columns(text):
+    rows = np.loadtxt(text.splitlines()[1:], delimiter=",", ndmin=2)
+    return rows[:, 0].tolist(), rows[:, 1].tolist()
+
+
+class TestJsonMatchesCsv:
+    """Every subcommand writes the same sections as JSON and as CSV files."""
+
+    @pytest.mark.parametrize("command", sorted(FLAGS_USED))
+    def test_sections_agree(self, tmp_path, capsys, command):
+        path = tmp_path / "f.csv"
+        write_samples(path, [0.0, 0.75, 0.5, 0.875, 0.625, 0.9375])
+        argv = minimal_argv(path, command)
+        if command == "bracket":  # the const:0 companion needs a constant table
+            argv[argv.index("const:0")] = "const:1"
+            argv += ["--mode", "holder"]
+        elif "--error" in FLAGS_USED[command]:
+            argv[argv.index("const:0")] = "power:1,1"
+        status, _ = run(argv + ["--format", "json"])
+        assert status == 0
+        doc = json.loads(capsys.readouterr().out)
+        data = doc["data"]
+        out = tmp_path / "out.csv"
+        status, report = run(argv + ["--format", "csv", "--output", str(out)])
+        assert status == 0
+        if command == "bracket":  # --error2 not given
+            assert doc["report"]["parameters"]["error2"] == "const:0"
+        if command == "check":  # a verdict has no CSV form: JSON, no sidecar
+            assert report.outputs == [str(out)]
+            assert json.loads(out.read_text())["data"] == data
+            return
+        sidecar = json.loads((tmp_path / "out.csv.report.json").read_text())
+        assert sidecar["parameters"] == doc["report"]["parameters"]
+        paths = [out] if len(data) == 1 else [tmp_path / f"out.{n}.csv" for n in data]
+        assert sorted(map(str, paths)) == sorted(report.outputs[:-1])
+        for name, written in zip(data, paths):
+            keys = ("u", "phi") if "phi" in data[name] else ("t", "value")
+            assert csv_columns(written.read_text()) == tuple(data[name][k] for k in keys)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from approxmono import error_envelopes
 from approxmono import (
     ErrorFn,
+    Grid,
     PowerErrorSpec,
     SampledFn,
     WitnessKind,
@@ -16,7 +17,6 @@ from approxmono import (
     is_phi_holder,
     is_phi_monotone,
     is_subadditive,
-    make_grid,
     monotone_lower_envelope,
     power_error,
     subadditive_envelope,
@@ -307,7 +307,7 @@ class TestAbsolutelySubadditiveEnvelope:
 class TestMembershipInvariance:
     def test_membership_agrees_for_table_and_envelope(self):
         rng = np.random.default_rng(41)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(60):
             phi = rand_error(rng, 9)
             sigma = subadditive_envelope(phi)
@@ -325,7 +325,7 @@ class TestMembershipInvariance:
         # an increasing subadditive table is the unique optimum: any table
         # strictly below it somewhere admits a function telling them apart
         rng = np.random.default_rng(43)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(20):
             phi = rand_concave_increasing_error(rng, 9)
             smaller = phi.values.copy()

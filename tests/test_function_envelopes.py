@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from approxmono import (
     DimensionMismatchError,
     ErrorFn,
+    Grid,
     PreconditionError,
     SampledFn,
     WitnessKind,
@@ -16,7 +17,6 @@ from approxmono import (
     holder_upper_envelope,
     is_phi_holder,
     is_phi_monotone,
-    make_grid,
     monotone_bracket,
     monotone_lower_envelope,
     monotone_sandwich,
@@ -43,7 +43,7 @@ def efn(vals, step=1.0):
 
 
 def sfn(vals, origin=0.0, step=1.0):
-    return SampledFn(make_grid(origin, step, len(vals)), vals)
+    return SampledFn(Grid(origin, step, len(vals)), vals)
 
 
 def direct_lower(f, sigma):
@@ -63,7 +63,7 @@ def direct_upper(f, sigma):
 class TestMonotoneEnvelopes:
     def test_member_is_fixed_point(self):
         rng = np.random.default_rng(51)
-        grid = make_grid(0.0, 1.0, 10)
+        grid = Grid(0.0, 1.0, 10)
         for _ in range(30):
             phi = rand_error(rng, 10)
             f = mono_member(rng, grid, phi)
@@ -89,7 +89,7 @@ class TestMonotoneEnvelopes:
 
     def test_matches_direct_formula_randomly(self):
         rng = np.random.default_rng(53)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(40):
             phi = rand_error(rng, 9, zero_at_origin=bool(rng.integers(0, 2)))
             f = rand_fn(rng, grid)
@@ -103,7 +103,7 @@ class TestMonotoneEnvelopes:
 
     def test_output_membership_and_order(self):
         rng = np.random.default_rng(57)
-        grid = make_grid(0.0, 1.0, 11)
+        grid = Grid(0.0, 1.0, 11)
         for _ in range(40):
             phi = rand_error(rng, 11)
             f = rand_fn(rng, grid)
@@ -116,7 +116,7 @@ class TestMonotoneEnvelopes:
 
     def test_idempotent_when_table_vanishes_at_origin(self):
         rng = np.random.default_rng(59)
-        grid = make_grid(0.0, 1.0, 10)
+        grid = Grid(0.0, 1.0, 10)
         for _ in range(30):
             phi = rand_error(rng, 10)
             f = rand_fn(rng, grid)
@@ -125,7 +125,7 @@ class TestMonotoneEnvelopes:
 
     def test_envelope_unchanged_by_subadditive_replacement(self):
         rng = np.random.default_rng(61)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(30):
             phi = rand_error(rng, 9)
             sigma = subadditive_envelope(phi)
@@ -137,7 +137,7 @@ class TestMonotoneEnvelopes:
 
     def test_extremality_over_minorants(self):
         rng = np.random.default_rng(63)
-        grid = make_grid(0.0, 1.0, 10)
+        grid = Grid(0.0, 1.0, 10)
         for _ in range(30):
             phi = rand_error(rng, 10)
             f = rand_fn(rng, grid)
@@ -149,7 +149,7 @@ class TestMonotoneEnvelopes:
 
     def test_duality_with_reversal(self):
         rng = np.random.default_rng(67)
-        grid = make_grid(0.0, 1.0, 8)
+        grid = Grid(0.0, 1.0, 8)
         for _ in range(30):
             phi = rand_error(rng, 8)
             f = rand_fn(rng, grid)
@@ -161,7 +161,7 @@ class TestMonotoneEnvelopes:
 
 class TestHolderEnvelopes:
     def test_member_is_fixed_point(self):
-        grid = make_grid(0.0, 1.0, 3)
+        grid = Grid(0.0, 1.0, 3)
         f = SampledFn(grid, [0.0, 0.5, 0.0])
         phi = efn([0.0, 1.0, 2.0])
         assert np.array_equal(holder_lower_envelope(f, phi).values, f.values)
@@ -185,7 +185,7 @@ class TestHolderEnvelopes:
 
     def test_sign_symmetry(self):
         rng = np.random.default_rng(71)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(30):
             phi = rand_error(rng, 9)
             f = rand_fn(rng, grid)
@@ -195,7 +195,7 @@ class TestHolderEnvelopes:
 
     def test_membership_and_idempotence(self):
         rng = np.random.default_rng(73)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(30):
             phi = rand_error(rng, 9)
             alpha = absolutely_subadditive_envelope(phi)
@@ -214,7 +214,7 @@ class TestTableLongerThanGrid:
         rng = np.random.default_rng(79)
         for _ in range(60):
             n = int(rng.integers(2, 9))
-            grid = make_grid(0.0, 1.0, n)
+            grid = Grid(0.0, 1.0, n)
             phi = rand_error(rng, n + int(rng.integers(1, 2 * n + 2)))
             alpha = bellman_ford_alpha(phi.values[:n], n - 1)
             shifts = alpha[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
@@ -232,7 +232,7 @@ class TestTableLongerThanGrid:
 class TestSandwiches:
     def test_shared_member_returned(self):
         rng = np.random.default_rng(77)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         phi = rand_error(rng, 9)
         f = mono_member(rng, grid, phi)
         out, w = monotone_sandwich(f, f, phi)
@@ -251,7 +251,7 @@ class TestSandwiches:
 
     def test_feasible_below_member(self):
         rng = np.random.default_rng(79)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(20):
             phi = rand_error(rng, 9)
             h = mono_member(rng, grid, phi)
@@ -262,7 +262,7 @@ class TestSandwiches:
 
     def test_soundness_and_completeness(self):
         rng = np.random.default_rng(83)
-        grid = make_grid(0.0, 1.0, 8)
+        grid = Grid(0.0, 1.0, 8)
         feasible = infeasible = 0
         for trial in range(120):
             phi = rand_error(rng, 8, hi=0.5)
@@ -301,7 +301,7 @@ class TestSandwiches:
 
     def test_holder_soundness_and_completeness(self):
         rng = np.random.default_rng(89)
-        grid = make_grid(0.0, 1.0, 8)
+        grid = Grid(0.0, 1.0, 8)
         feasible = infeasible = 0
         for trial in range(120):
             phi = rand_error(rng, 8, hi=0.5)
@@ -330,7 +330,7 @@ class TestSandwiches:
 
     def test_lower_envelope_of_upper_bound_always_fits(self):
         rng = np.random.default_rng(97)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(20):
             phi = rand_error(rng, 9)
             h = rand_fn(rng, grid)
@@ -372,14 +372,14 @@ class TestMonotoneBracket:
 
     def test_rejects_increasing_table_against_zero_companion(self):
         phi = efn([0.0, 1.0, 2.0])
-        f = mono_member(np.random.default_rng(0), make_grid(0.0, 1.0, 3), phi)
+        f = mono_member(np.random.default_rng(0), Grid(0.0, 1.0, 3), phi)
         with pytest.raises(PreconditionError) as exc:
             monotone_bracket(f, phi, efn([0.0, 0.0, 0.0]))
         assert exc.value.witness.kind is WitnessKind.MONOTONE
 
     def test_decreasing_table_zero_companion_regime(self):
         rng = np.random.default_rng(101)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(30):
             tail = np.sort(dyadic(rng, 0.125, 1.0, 8))[::-1]
             phi = ErrorFn(1.0, np.concatenate([[tail[0]], tail]))
@@ -399,7 +399,7 @@ class TestMonotoneBracket:
 
     def test_companion_membership_on_formula_range(self):
         rng = np.random.default_rng(103)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(30):
             phi = rand_error(rng, 9)
             # smallest companion under which the negated table is monotone
@@ -424,7 +424,7 @@ class TestHolderBracket:
 
     def test_zero_at_origin_collapses_gap(self):
         rng = np.random.default_rng(107)
-        grid = make_grid(0.0, 1.0, 8)
+        grid = Grid(0.0, 1.0, 8)
         phi = rand_concave_increasing_error(rng, 8)
         f = holder_lower_envelope(rand_fn(rng, grid), phi)
         pair = holder_bracket(f, phi, phi)
@@ -434,7 +434,7 @@ class TestHolderBracket:
 
     def test_increasing_subadditive_regime(self):
         rng = np.random.default_rng(109)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(30):
             phi = rand_concave_increasing_error(rng, 9)
             raw = rand_fn(rng, grid)
@@ -518,7 +518,7 @@ class TestSigmaOncePerSandwich:
 
         monkeypatch.setattr(function_envelopes, "subadditive_envelope", counting)
         rng = np.random.default_rng(97)
-        grid = make_grid(0.0, 1.0, 12)
+        grid = Grid(0.0, 1.0, 12)
         phi = rand_error(rng, 12)
         h = mono_member(rng, grid, phi)
         calls.clear()

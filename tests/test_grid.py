@@ -20,7 +20,6 @@ from approxmono import (
     ingest_samples,
     is_phi_holder,
     is_phi_monotone,
-    make_grid,
     monotone_sandwich,
     pointwise_extrema,
 )
@@ -32,17 +31,17 @@ def efn(vals, step=1.0):
 
 
 def sfn(vals, origin=0.0, step=1.0):
-    return SampledFn(make_grid(origin, step, len(vals)), vals)
+    return SampledFn(Grid(origin, step, len(vals)), vals)
 
 
 class TestGridConstruction:
     def test_basic_nodes(self):
-        g = make_grid(0.0, 1.0, 5)
+        g = Grid(0.0, 1.0, 5)
         assert list(g.nodes()) == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert g.length == 4.0
 
     def test_negative_origin(self):
-        g = make_grid(-1.0, 0.5, 3)
+        g = Grid(-1.0, 0.5, 3)
         assert list(g.nodes()) == [-1.0, -0.5, 0.0]
 
     @pytest.mark.parametrize(
@@ -51,15 +50,15 @@ class TestGridConstruction:
     )
     def test_rejects_bad_parameters(self, origin, step, count):
         with pytest.raises(GridError):
-            make_grid(origin, step, count)
+            Grid(origin, step, count)
 
     def test_sampled_fn_rejects_nan(self):
-        g = make_grid(0.0, 1.0, 3)
+        g = Grid(0.0, 1.0, 3)
         with pytest.raises(GridError):
             SampledFn(g, [0.0, float("nan"), 1.0])
 
     def test_sampled_fn_rejects_length_mismatch(self):
-        g = make_grid(0.0, 1.0, 3)
+        g = Grid(0.0, 1.0, 3)
         with pytest.raises(DimensionMismatchError):
             SampledFn(g, [0.0, 1.0])
 
@@ -76,12 +75,12 @@ class TestGridConstruction:
 class TestIngest:
     def test_unit_spacing(self):
         f = ingest_samples([(0, 1), (1, 2), (2, 3)])
-        assert f.grid == make_grid(0.0, 1.0, 3)
+        assert f.grid == Grid(0.0, 1.0, 3)
         assert list(f.values) == [1.0, 2.0, 3.0]
 
     def test_two_records(self):
         f = ingest_samples([(0, 1), (2, 2)])
-        assert f.grid == make_grid(0.0, 2.0, 2)
+        assert f.grid == Grid(0.0, 2.0, 2)
 
     def test_nonuniform_rejected(self):
         with pytest.raises(IngestionError, match="record"):
@@ -106,6 +105,14 @@ class TestIngest:
     def test_too_short(self):
         with pytest.raises(IngestionError):
             ingest_samples([(0, 1)])
+
+    def test_overflowing_spacing_names_record(self):
+        # RuntimeWarnings fail the suite, so this also requires that none is raised
+        with pytest.raises(IngestionError, match="record 1: distance .* overflows"):
+            ingest_samples([(-1e308, 0), (1e308, 0)])
+        # finite spacings whose sum (the grid's span) overflows
+        with pytest.raises(IngestionError, match="record 2: distance .* overflows"):
+            ingest_samples([(-1e308, 0), (0, 0), (1e308, 0)])
 
 
 class TestIngestNamesFirstFault:
@@ -330,10 +337,14 @@ class TestConeCombine:
                 [efn([0, 1]), efn([0, 1])],
                 "holder",
             )
+        with pytest.raises(DimensionMismatchError):
+            approxmono.delta_variation_bound(
+                sfn([0, 1]), sfn([0, 1], origin=5.0), efn([0, 1]), efn([0, 1])
+            )
 
     def test_random_monotone_combination_stays_member(self):
         rng = np.random.default_rng(7)
-        grid = make_grid(0.0, 1.0, 8)
+        grid = Grid(0.0, 1.0, 8)
         for _ in range(30):
             phi1 = rand_error(rng, 8)
             phi2 = rand_error(rng, 8)
@@ -359,7 +370,7 @@ class TestPointwiseExtrema:
 
     def test_closure_of_membership(self):
         rng = np.random.default_rng(11)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         phi = rand_error(rng, 9)
         fns = [mono_member(rng, grid, phi) for _ in range(4)]
         for which in ("sup", "inf"):

@@ -2,28 +2,21 @@ import numpy as np
 
 from approxmono import (
     ErrorFn,
+    Grid,
     SampledFn,
     individual_alpha,
     individual_sigma,
     is_phi_holder,
     is_phi_monotone,
     is_subadditive,
-    make_grid,
     monotone_lower_envelope,
-    positive_part,
     subadditive_envelope,
 )
 from helpers import dyadic, mono_member, rand_error, rand_fn
 
 
 def sfn(vals, step=1.0):
-    return SampledFn(make_grid(0.0, step, len(vals)), vals)
-
-
-def test_positive_part():
-    assert positive_part(-2.0) == 0.0
-    assert positive_part(3.0) == 3.0
-    assert np.array_equal(positive_part(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+    return SampledFn(Grid(0.0, step, len(vals)), vals)
 
 
 class TestIndividualSigma:
@@ -46,7 +39,7 @@ class TestIndividualSigma:
         rng = np.random.default_rng(167)
         for _ in range(60):
             n = int(rng.integers(2, 12))
-            f = SampledFn(make_grid(0.0, 1.0, n), rng.normal(size=n))
+            f = SampledFn(Grid(0.0, 1.0, n), rng.normal(size=n))
             out = individual_sigma(f)
             assert is_phi_monotone(f, out, 0.0)[0]
 
@@ -54,14 +47,14 @@ class TestIndividualSigma:
         rng = np.random.default_rng(173)
         for _ in range(60):
             n = int(rng.integers(2, 12))
-            f = rand_fn(rng, make_grid(0.0, 1.0, n))
+            f = rand_fn(rng, Grid(0.0, 1.0, n))
             out = individual_sigma(f)
             assert is_subadditive(out, 0.0)[0]
             assert np.array_equal(subadditive_envelope(out).values, out.values)
 
     def test_minimal_among_passing_tables(self):
         rng = np.random.default_rng(179)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(40):
             phi = rand_error(rng, 9)
             f = mono_member(rng, grid, phi)
@@ -71,7 +64,7 @@ class TestIndividualSigma:
 
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(181)
-        grid = make_grid(0.0, 1.0, 8)
+        grid = Grid(0.0, 1.0, 8)
         for _ in range(30):
             f = rand_fn(rng, grid)
             c = float(dyadic(rng, -4, 4, 1)[0])
@@ -82,7 +75,7 @@ class TestIndividualSigma:
 
     def test_envelope_fixed_point_bound(self):
         rng = np.random.default_rng(191)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(30):
             phi = rand_error(rng, 9)
             f = monotone_lower_envelope(rand_fn(rng, grid), phi)
@@ -109,7 +102,7 @@ class TestIndividualAlpha:
         rng = np.random.default_rng(193)
         for _ in range(60):
             n = int(rng.integers(2, 12))
-            f = SampledFn(make_grid(0.0, 1.0, n), rng.normal(size=n))
+            f = SampledFn(Grid(0.0, 1.0, n), rng.normal(size=n))
             out = individual_alpha(f)
             assert is_phi_holder(f, out, 0.0)[0]
 
@@ -117,12 +110,12 @@ class TestIndividualAlpha:
         rng = np.random.default_rng(197)
         for _ in range(60):
             n = int(rng.integers(2, 12))
-            f = rand_fn(rng, make_grid(0.0, 1.0, n))
+            f = rand_fn(rng, Grid(0.0, 1.0, n))
             assert np.all(individual_sigma(f).values <= individual_alpha(f).values)
 
     def test_minimal_among_passing_tables(self):
         rng = np.random.default_rng(199)
-        grid = make_grid(0.0, 1.0, 9)
+        grid = Grid(0.0, 1.0, 9)
         for _ in range(40):
             f = rand_fn(rng, grid, amp=1.0)
             out = individual_alpha(f)
@@ -134,5 +127,5 @@ class TestIndividualAlpha:
         rng = np.random.default_rng(211)
         for _ in range(60):
             n = int(rng.integers(2, 12))
-            f = rand_fn(rng, make_grid(0.0, 1.0, n))
+            f = rand_fn(rng, Grid(0.0, 1.0, n))
             assert is_subadditive(individual_alpha(f), 0.0)[0]

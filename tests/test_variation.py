@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from approxmono import error_envelopes, variation
 from approxmono import (
     ErrorFn,
+    Grid,
     Partition,
     PowerErrorSpec,
     PreconditionError,
@@ -15,7 +16,6 @@ from approxmono import (
     is_phi_holder,
     is_phi_monotone,
     jordan_decompose,
-    make_grid,
     monotone_lower_envelope,
     phi_variation,
     power_error,
@@ -40,7 +40,7 @@ def efn(vals, step=1.0):
 
 
 def sfn(vals, origin=0.0, step=1.0):
-    return SampledFn(make_grid(origin, step, len(vals)), vals)
+    return SampledFn(Grid(origin, step, len(vals)), vals)
 
 
 class TestPartition:
@@ -69,7 +69,7 @@ class TestPhiVariation:
 
     def test_single_interval_nonpositive_for_holder_member(self):
         rng = np.random.default_rng(131)
-        grid = make_grid(0.0, 1.0, 8)
+        grid = Grid(0.0, 1.0, 8)
         for _ in range(20):
             phi = rand_error(rng, 8)
             f = monotone_lower_envelope(rand_fn(rng, grid), phi)
@@ -112,7 +112,7 @@ class TestTotalVariation:
         rng = np.random.default_rng(137)
         for _ in range(60):
             n = int(rng.integers(2, 11))
-            f = rand_fn(rng, make_grid(0.0, 1.0, n))
+            f = rand_fn(rng, Grid(0.0, 1.0, n))
             phi = rand_error(rng, n, hi=0.5, zero_at_origin=False)
             table = total_phi_variation(f, phi)
             for b in range(1, n):
@@ -122,7 +122,7 @@ class TestTotalVariation:
         rng = np.random.default_rng(139)
         for _ in range(40):
             n = int(rng.integers(3, 12))
-            f = rand_fn(rng, make_grid(0.0, 1.0, n))
+            f = rand_fn(rng, Grid(0.0, 1.0, n))
             phi = rand_error(rng, n, hi=0.5, zero_at_origin=False)
             rows = [total_phi_variation(f, phi, a, n - 1).prefix for a in range(n - 1)]
 
@@ -145,7 +145,7 @@ class TestHolderViaVariation:
         agree_true = agree_false = 0
         for trial in range(120):
             n = int(rng.integers(2, 10))
-            grid = make_grid(0.0, 1.0, n)
+            grid = Grid(0.0, 1.0, n)
             phi = rand_error(rng, n, hi=1.0, zero_at_origin=False)
             if trial % 2:
                 f = rand_fn(rng, grid, amp=0.5)
@@ -204,7 +204,7 @@ class TestJordanDecompose:
         rng = np.random.default_rng(151)
         for _ in range(40):
             n = int(rng.integers(2, 11))
-            grid = make_grid(0.0, 1.0, n)
+            grid = Grid(0.0, 1.0, n)
             f = rand_fn(rng, grid)
             phi = rand_error(rng, n, zero_at_origin=False)
             anchor = int(rng.integers(0, n - 1))
@@ -217,7 +217,7 @@ class TestJordanDecompose:
 class TestDeltaVariationBound:
     def test_equal_halves_cancel(self):
         rng = np.random.default_rng(157)
-        grid = make_grid(0.0, 1.0, 7)
+        grid = Grid(0.0, 1.0, 7)
         phi = rand_error(rng, 7)
         gq = mono_member(rng, grid, phi)
         total, bound = delta_variation_bound(gq, gq, phi, phi)
@@ -234,7 +234,7 @@ class TestDeltaVariationBound:
         rng = np.random.default_rng(163)
         for _ in range(40):
             n = int(rng.integers(2, 10))
-            grid = make_grid(0.0, 1.0, n)
+            grid = Grid(0.0, 1.0, n)
             phi = rand_error(rng, n)
             psi = rand_error(rng, n)
             gq = mono_member(rng, grid, phi)
