@@ -10,9 +10,9 @@ lattice.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -124,35 +124,37 @@ def subadditive_envelope(phi: ErrorFn) -> ErrorFn:
     return ErrorFn(phi.grid_step, np.concatenate([v[:1], np.arange(1, len(v)) * v[1]]))
 
 
-def _lattice_shortest_paths(costs: np.ndarray) -> np.ndarray:
-    """Distances from 0 on the lattice {-(N-1)..N-1} with edges +-j of cost[j].
+@np.errstate(over="ignore")  # an inf candidate never undercuts a label
+def _label_setting(labels: np.ndarray, row: Callable[[int], np.ndarray]):
+    """Shortest paths over N nodes from starting labels, by dense label setting.
 
-    N is the table length.  The lattice is symmetric under x -> -x, so the
-    search runs on its fold onto 0..N-1, where u reaches v at cost
-    ``min(cost[|v-u|], cost[u+v])`` (the second term while u+v <= N-1).
-    Label-setting over nonnegative costs; zero-cost edges are fine.  Heap
-    entries are (distance, node) so ties settle by node index, making the
-    computation deterministic.
+    ``row(u)[v] >= 0`` is the cost of the edge u -> v.  Each round settles the
+    open node with the least label (first index on ties) and relaxes every
+    node through it.  Returns the labels and, per node, the root whose
+    starting label its path leaves from.
     """
-    n = len(costs)
-    dist = np.full(n, np.inf)
-    dist[0] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, 0)]
-    cand = np.empty(n)
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        cand[u:] = costs[: n - u]
-        cand[:u] = costs[u:0:-1]
-        np.minimum(cand[: n - u], costs[u:], out=cand[: n - u])
-        cand += du
-        mask = cand < dist
-        if mask.any():
-            dist[mask] = cand[mask]
-            for v in np.nonzero(mask)[0].tolist():
-                heapq.heappush(heap, (float(cand[v]), v))
-    return dist
+    lab = np.array(labels, dtype=float)
+    root = np.arange(len(lab))
+    open_lab = lab.copy()  # settled nodes read +inf
+    for _ in range(len(lab)):
+        u = int(np.argmin(open_lab))
+        open_lab[u] = np.inf
+        cand = lab[u] + row(u)
+        better = cand < lab
+        if better.any():
+            np.copyto(lab, cand, where=better)
+            np.copyto(open_lab, cand, where=better)
+            np.copyto(root, root[u], where=better)
+    return lab, root
+
+
+def _folded_row(table: np.ndarray, u: int) -> np.ndarray:
+    """``min(table[|v-u|], table[u+v])`` for v = 0..N-1, the second term
+    while u+v stays on the table: the step u -> v on the folded lattice."""
+    n = len(table)
+    out = np.concatenate([table[u:0:-1], table[: n - u]])
+    np.minimum(out[: n - u], table[u:], out=out[: n - u])
+    return out
 
 
 def absolutely_subadditive_envelope(phi: ErrorFn) -> ErrorFn:
@@ -160,15 +162,17 @@ def absolutely_subadditive_envelope(phi: ErrorFn) -> ErrorFn:
 
     ``out[k]`` is the cheapest multiset of signed offsets summing to k, each
     offset below the table length N in magnitude, paying the table value of
-    the magnitude for every part.  Computed as a shortest path on the integer
-    lattice {-(N-1)..N-1}; that is exact, because any multiset can be
-    reordered so its running sums stay within the largest offset.
+    the magnitude for every part.  Computed as a shortest path from 0 on the
+    integer lattice {-(N-1)..N-1}, folded onto 0..N-1 by its symmetry
+    x -> -x; that is exact, because any multiset can be reordered so its
+    running sums stay within the largest offset.
 
     The output is dominated by `subadditive_envelope` pointwise, and the two
     coincide whenever the input is nondecreasing.
     """
     v = phi.values
-    out = _lattice_shortest_paths(v)
+    start = np.concatenate([[0.0], np.full(len(v) - 1, np.inf)])
+    out, _ = _label_setting(start, lambda u: _folded_row(v, u))
     # offset 0 needs at least one part: either the literal 0-offset entry or
     # a closing step back from a reachable node
     cycle = float((out[1:] + v[1:]).min())

@@ -1,9 +1,10 @@
 """Monotone and Hölder envelopes of sampled functions, sandwiches, brackets.
 
-All constructions first replace the supplied error table by its subadditive
-(or absolutely subadditive) envelope: the defining formulas are stated with
-the envelope, membership classes do not change under the replacement, and it
-is what makes the operators idempotent on grids.
+The monotone operators and the Hölder bracket replace the error table by its
+subadditive (or absolutely subadditive) envelope, which keeps membership and
+makes them idempotent on grids.  The Hölder envelopes and sandwich use
+``min over j of f[j] + d(j, i)``, with d(j, i) the cheapest path from node j
+to node i through grid nodes, paying ``phi[|u-v|]`` per step u -> v.
 """
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ from .grid import (
     offsets_table,
 )
 from .error_envelopes import (
+    _folded_row,
+    _label_setting,
     absolutely_subadditive_envelope,
     subadditive_envelope,
 )
@@ -47,12 +50,6 @@ class BracketPair:
 
 def _sigma_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
     return subadditive_envelope(ErrorFn(phi.grid_step, offsets_table(f, phi))).values
-
-
-def _alpha_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
-    return absolutely_subadditive_envelope(
-        ErrorFn(phi.grid_step, offsets_table(f, phi))
-    ).values
 
 
 def _forward_min(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray:
@@ -78,6 +75,16 @@ def _shifted_extremum(v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     for i in range(n):
         out[i] = (v + sym[n - 1 - i : 2 * n - 1 - i]).min()
     return out
+
+
+def _grid_lower(v: np.ndarray, f: SampledFn, phi: ErrorFn):
+    """``min over j of v[j] + d(j, i)`` and its root j for every node i on f's
+    grid; row u of the costs ``phi[|w-u|]`` is a mirrored slice of the table."""
+    _require_zero_at_origin(phi)
+    t = offsets_table(f, phi)
+    n = len(t)
+    sym = np.concatenate([t[:0:-1], t])
+    return _label_setting(v, lambda u: sym[n - 1 - u : 2 * n - 1 - u])
 
 
 def _neg(x: np.ndarray) -> np.ndarray:
@@ -122,19 +129,16 @@ def monotone_upper_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
 def holder_lower_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     """Largest Hölder-within-phi function below f.
 
-    ``out[i] = min over all j of f[j] + alpha[|j-i|]`` with alpha the
-    absolutely subadditive envelope.  Requires the table to vanish at 0.
+    ``out[i] = min over all j of f[j] + d(j, i)``, d the grid path cost of the
+    module docstring.  Requires the table to vanish at 0.
     """
-    _require_zero_at_origin(phi)
-    return SampledFn(f.grid, _shifted_extremum(f.values, _alpha_table(f, phi)))
+    return SampledFn(f.grid, _grid_lower(f.values, f, phi)[0])
 
 
 def holder_upper_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     """Smallest Hölder-within-phi function above f: the negated lower
-    envelope of -f, ``out[i] = max over j of f[j] - alpha[|j-i|]``."""
-    _require_zero_at_origin(phi)
-    alpha = _alpha_table(f, phi)
-    return SampledFn(f.grid, _neg(_shifted_extremum(_neg(f.values), alpha)))
+    envelope of -f, ``out[i] = max over j of f[j] - d(j, i)``."""
+    return SampledFn(f.grid, _neg(_grid_lower(_neg(f.values), f, phi)[0]))
 
 
 def monotone_sandwich(
@@ -167,25 +171,22 @@ def holder_sandwich(
 ) -> tuple[SampledFn | None, Witness | None]:
     """Hölder analog of `monotone_sandwich`, over all node pairs.
 
-    Feasible exactly when ``g[i] <= h[j] + alpha[|j-i|]`` for every pair,
-    that is when g lies below the Hölder lower envelope of h (within tol),
-    which is then returned.  On infeasibility the maximal violating pair is
-    returned instead.
+    Feasible exactly when ``g[i] <= h[j] + d(j, i)`` for every pair, that is
+    when g lies below the Hölder lower envelope of h (within tol), which is
+    then returned.  Otherwise the witness is the node i where g exceeds the
+    envelope most, paired with the root j of its cheapest path:
+    ``lhs = g[i]`` and ``rhs = h[j] + d(j, i)``, the envelope at i.
     """
     check_tolerance(tol)
     if not g.grid.compatible(h.grid):
         raise DimensionMismatchError("sandwich bounds must share one grid")
-    _require_zero_at_origin(phi)
-    alpha = _alpha_table(h, phi)
-    gv, hv = g.values, h.values
-    env = _shifted_extremum(hv, alpha)
-    margins = gv - env
-    i = int(np.argmax(margins))
-    if float(margins[i]) > tol:
-        n = len(hv)
-        j = int(np.argmin(hv + alpha[np.abs(np.arange(n) - i)]))
-        rhs = float(hv[j] + alpha[abs(j - i)])
-        return None, Witness(WitnessKind.SANDWICH, (i, j), float(gv[i]), rhs)
+    env, root = _grid_lower(h.values, h, phi)
+    gv = g.values
+    best = _max_violation(1, lambda _: gv - env, tol)
+    if best is not None:
+        i = best[1]
+        j = int(root[i])
+        return None, Witness(WitnessKind.SANDWICH, (i, j), float(gv[i]), float(env[i]))
     return SampledFn(h.grid, env), None
 
 
@@ -246,22 +247,12 @@ def _check_folded_table_holder(
     hypothesis for the Hölder bracket.
     """
     pv = phi.values
-    sv = psi.values
-    sym = np.concatenate([sv[n - 1 : 0 : -1], sv[:n]])  # row u of psi[|v-u|]
-
-    def margins(u: int) -> np.ndarray:
-        bound = sym[n - 1 - u : 2 * n - 1 - u].copy()
-        head = n - u  # offsets v with u + v still on the table
-        np.minimum(bound[:head], sv[u : u + head], out=bound[:head])
-        return pv[u] - pv[:n] - bound
-
-    best = _max_violation(n, margins, tol)
+    sv = psi.values[:n]
+    best = _max_violation(n, lambda u: pv[u] - pv[:n] - _folded_row(sv, u), tol)
     if best is not None:
         u, vpos = best
-        alt = sv[abs(vpos - u)]
-        if u + vpos < n:
-            alt = min(alt, sv[u + vpos])
-        w = Witness(WitnessKind.HOLDER, (u, vpos), float(pv[u]), float(pv[vpos] + alt))
+        rhs = float(pv[vpos] + _folded_row(sv, u)[vpos])
+        w = Witness(WitnessKind.HOLDER, (u, vpos), float(pv[u]), rhs)
         raise PreconditionError(
             "error table folded over signed offsets is not Hölder within the "
             "companion table",
@@ -287,7 +278,8 @@ def holder_bracket(
     if not ok:
         raise PreconditionError("function is not Hölder within the error table", w)
     _check_folded_table_holder(phi, psi, n, tol)
-    alpha = _alpha_table(f, phi)
+    cut = ErrorFn(phi.grid_step, offsets_table(f, phi))
+    alpha = absolutely_subadditive_envelope(cut).values
     v = f.values
     lower = _neg(_shifted_extremum(_neg(v), alpha))
     upper = _shifted_extremum(v, alpha)

@@ -226,6 +226,13 @@ def offsets_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
     return phi.values[: f.grid.count]
 
 
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    """Return x, or raise OverflowError if a value left the double range."""
+    if not np.all(np.isfinite(x)):
+        raise OverflowError(f"{what} overflows the double range")
+    return x
+
+
 @np.errstate(over="ignore")  # a ramp past the double range fails the test
 def _star_shaped(table: np.ndarray) -> bool:
     """True when ``table[k] >= k * table[1]`` for every offset k >= 1."""

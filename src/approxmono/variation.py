@@ -19,6 +19,7 @@ from .grid import (
     Grid,
     PreconditionError,
     SampledFn,
+    _finite,
     _star_shaped,
     check_tolerance,
     is_phi_monotone,
@@ -77,13 +78,6 @@ class JordanPair:
 
     g: SampledFn
     h: SampledFn
-
-
-def _finite(x: np.ndarray, what: str) -> np.ndarray:
-    """Return x, or raise OverflowError if a sum left the double range."""
-    if not np.all(np.isfinite(x)):
-        raise OverflowError(f"{what} overflows the double range")
-    return x
 
 
 def phi_variation(f: SampledFn, partition: Partition, phi: ErrorFn) -> float:

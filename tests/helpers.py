@@ -7,6 +7,7 @@ bit-for-bit instead of up to rounding noise.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -203,6 +204,60 @@ def bellman_ford_alpha(values, mass_radius: int) -> np.ndarray:
     return out
 
 
+def heap_alpha(values) -> np.ndarray:
+    """Absolutely subadditive envelope by a heap-driven label-setting search.
+
+    Distances from 0 on the signed lattice folded onto 0..N-1, where u steps
+    to v at cost ``min(values[|v-u|], values[u+v])``; heap entries are
+    (distance, node), so ties settle by node index.  An independent
+    formulation of the library's dense search, with the same float sums.
+    """
+    costs = np.asarray(values, dtype=float)
+    n = len(costs)
+    dist = np.full(n, np.inf)
+    dist[0] = 0.0
+    heap = [(0.0, 0)]
+    cand = np.empty(n)
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > dist[u]:
+            continue
+        cand[u:] = costs[: n - u]
+        cand[:u] = costs[u:0:-1]
+        np.minimum(cand[: n - u], costs[u:], out=cand[: n - u])
+        cand += du
+        mask = cand < dist
+        if mask.any():
+            dist[mask] = cand[mask]
+            for v in np.nonzero(mask)[0].tolist():
+                heapq.heappush(heap, (float(cand[v]), v))
+    dist[0] = min(float(costs[0]), float((dist[1:] + costs[1:]).min()))
+    return dist
+
+
+def brute_grid_distances(table, n: int) -> np.ndarray:
+    """Cheapest grid path cost d[j, i] between all node pairs, by
+    Floyd–Warshall over the steps u -> v of cost ``table[|u-v|]``."""
+    assert n <= 12, "oracle meant for small grids"
+    table = np.asarray(table, dtype=float)
+    d = [[float(table[abs(i - j)]) for j in range(n)] for i in range(n)]
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][m] + d[m][j] < d[i][j]:
+                    d[i][j] = d[i][m] + d[m][j]
+    return np.array(d)
+
+
+def brute_grid_holder_lower(fv, table) -> np.ndarray:
+    """``min over j of f[j] + d(j, i)``: the largest function below f whose
+    increments respect every grid path, for tables vanishing at 0."""
+    fv = np.asarray(fv, dtype=float)
+    n = len(fv)
+    d = brute_grid_distances(table, n)
+    return np.array([min(fv[j] + d[j, i] for j in range(n)) for i in range(n)])
+
+
 def brute_variation(fv, table, a: int, b: int) -> float:
     """Maximal partition variation by enumerating interior node subsets."""
     fv = np.asarray(fv, dtype=float)
@@ -257,3 +312,20 @@ def loop_holder_upper(v, alpha) -> np.ndarray:
     for i in range(n):
         out[i] = (v - sym[n - 1 - i : 2 * n - 1 - i]).max()
     return out
+
+
+def loop_holder_upper_grid(v, table) -> np.ndarray:
+    """``max over j of v[j] - d(j, i)`` by a max-side label-setting loop:
+    settle the open node with the greatest label (first index on ties), then
+    lower-bound every node through it with ``table[|u-w|]``."""
+    n = len(v)
+    lab = np.array(v, dtype=float)
+    settled = np.zeros(n, dtype=bool)
+    for _ in range(n):
+        u = int(np.argmax(np.where(settled, -np.inf, lab)))
+        settled[u] = True
+        for w in range(n):
+            cand = lab[u] - table[abs(w - u)]
+            if cand > lab[w]:
+                lab[w] = cand
+    return lab

@@ -40,6 +40,7 @@ from approxmono import (
 )
 from helpers import (
     brute_alpha,
+    brute_grid_holder_lower,
     brute_sigma,
     brute_variation,
     dyadic,
@@ -188,17 +189,15 @@ def test_c07_sandwich_soundness_completeness():
             )
             g = SampledFn(grid, base.values - dyadic(rng, 0, 0.5, n))
         sigma = subadditive_envelope(phi).values
-        alpha = absolutely_subadditive_envelope(phi).values
         mono_holds = all(
             g.values[i] <= h.values[j] + sigma[j - i]
             for i in range(n)
             for j in range(i, n)
         )
-        hold_holds = all(
-            g.values[i] <= h.values[j] + alpha[abs(j - i)]
-            for i in range(n)
-            for j in range(n)
-        )
+        # a Hölder member lies between g and h exactly when g is below the
+        # grid-exact envelope of h, the largest member below h
+        env = brute_grid_holder_lower(h.values, phi.values)
+        hold_holds = bool(np.all(g.values <= env + 1e-9))
         out, w = monotone_sandwich(g, h, phi, 1e-9)
         assert (out is not None) == mono_holds
         if out is not None:
@@ -212,6 +211,7 @@ def test_c07_sandwich_soundness_completeness():
         out, w = holder_sandwich(g, h, phi, 1e-9)
         assert (out is not None) == hold_holds
         if out is not None:
+            assert np.array_equal(out.values, env)
             assert is_phi_holder(out, phi, 1e-9)[0]
             assert np.all(g.values <= out.values + 1e-9)
             assert np.all(out.values <= h.values + 1e-9)

@@ -569,6 +569,30 @@ class TestOverflowExit1:
         assert "overflows the double range" in err
         assert "not finite" not in err
 
+    @pytest.mark.parametrize("kind", ["sigma", "alpha"])
+    def test_overflowing_individual(self, tmp_path, capsys, kind):
+        path = tmp_path / "f.csv"
+        write_samples(path, [1e308, -1e308, 1e308])
+        status, _ = run(["individual", "--input", str(path), "--kind", kind])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "overflows the double range" in err
+        assert "not finite" not in err and "Warning" not in err
+
+    def test_overflowing_holder_sandwich(self, tmp_path, capsys):
+        g, h = tmp_path / "g.csv", tmp_path / "h.csv"
+        write_samples(g, [1e308, -1e308, 1e308])
+        write_samples(h, [1e308] * 3)
+        argv = ["sandwich", "--mode", "holder", "--error", "power:1,1", "--input", str(g)]
+        status, _ = run(argv + ["--input2", str(g)])
+        out, err = capsys.readouterr()
+        assert status == 1 and out == ""
+        assert "overflows the double range" in err and "Warning" not in err
+        # only the margin g - env = -inf overflows here, and it is no violation
+        status, _ = run(argv + ["--input2", str(h)])
+        assert status == 0
+        assert "Warning" not in capsys.readouterr().err
+
 
 class TestCheckOverflowExit1:
     @pytest.mark.parametrize("mode", ["monotone", "holder"])

@@ -27,6 +27,7 @@ from helpers import (
     brute_alpha,
     brute_sigma,
     dyadic,
+    heap_alpha,
     loop_sigma,
     rand_concave_increasing_error,
     rand_error,
@@ -246,6 +247,25 @@ class TestAbsolutelySubadditiveEnvelope:
             phi = ErrorFn(1.0, vals)
             alpha = absolutely_subadditive_envelope(phi)
             assert np.array_equal(alpha.values, bellman_ford_alpha(vals, 4 * (n - 1)))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_heap_search(self, data):
+        # dyadic, non-dyadic and small-integer tables (many exact ties), with
+        # zero-cost offsets forced in; any value at offset 0
+        kind = data.draw(st.sampled_from(["dyadic", "real", "integer"]))
+        n = data.draw(st.integers(2, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "dyadic":
+            vals = dyadic(rng, 0, 1, n)
+        elif kind == "real":
+            vals = rng.uniform(0, 1, n)
+        else:
+            vals = rng.integers(0, 3, n) * 1.0
+        zeros = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+        vals[zeros] = 0.0
+        got = absolutely_subadditive_envelope(ErrorFn(1.0, vals)).values
+        assert same_bits(got, heap_alpha(vals))
 
     def test_radius_independent_above_minimum(self):
         rng = np.random.default_rng(19)

@@ -26,9 +26,11 @@ from approxmono import (
 from approxmono import function_envelopes
 from approxmono.function_envelopes import _check_folded_table_holder
 from helpers import (
-    bellman_ford_alpha,
+    brute_grid_distances,
+    brute_grid_holder_lower,
     dyadic,
     loop_holder_upper,
+    loop_holder_upper_grid,
     loop_monotone_bracket,
     loop_monotone_upper,
     mono_member,
@@ -198,13 +200,72 @@ class TestHolderEnvelopes:
         grid = Grid(0.0, 1.0, 9)
         for _ in range(30):
             phi = rand_error(rng, 9)
-            alpha = absolutely_subadditive_envelope(phi)
             f = rand_fn(rng, grid)
             lo = holder_lower_envelope(f, phi)
             assert np.all(lo.values <= f.values)
-            assert is_phi_holder(lo, alpha, 0.0)[0]
+            assert np.array_equal(lo.values, brute_grid_holder_lower(f.values, phi.values))
             assert is_phi_holder(lo, phi, 0.0)[0]
             assert np.array_equal(holder_lower_envelope(lo, phi).values, lo.values)
+
+
+class TestGridExactHolderEnvelopes:
+    """The Hölder envelopes follow grid paths: each step u -> v costs
+    phi[|u-v|], and no path composes through offsets off the grid."""
+
+    phi = efn([0.0, 8.0, 4.0, 1.0])
+    f = sfn([1.0, 3.0, -7.0, 0.0])
+
+    def test_steps_off_the_grid_do_not_count(self):
+        # alpha[1] = 2 composes +3 and -2, which no 4-node path can take from
+        # node 1; the member [-3, 1, -7, -2] lies below f
+        lo = holder_lower_envelope(self.f, self.phi)
+        assert list(lo.values) == [-3.0, 1.0, -7.0, -2.0]
+        assert is_phi_holder(lo, self.phi, 0.0)[0]
+        out, w = holder_sandwich(SampledFn(lo.grid, lo.values - 0.5), self.f, self.phi)
+        assert w is None and np.array_equal(out.values, lo.values)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_floyd_warshall(self, data):
+        n = data.draw(st.integers(2, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        table = dyadic(rng, 0, 1, n + data.draw(st.integers(0, 4)))
+        table[data.draw(st.lists(st.integers(0, len(table) - 1), max_size=2))] = 0.0
+        table[0] = 0.0
+        f, phi = rand_fn(rng, Grid(0.0, 1.0, n)), efn(table)
+        lower = brute_grid_holder_lower(f.values, table[:n])
+        assert same_bits(holder_lower_envelope(f, phi).values, lower)
+        upper = holder_upper_envelope(f, phi).values
+        assert same_bits(upper, 0.0 - brute_grid_holder_lower(-f.values, table[:n]))
+
+    def test_nondecreasing_tables_keep_the_alpha_envelope(self):
+        # alpha = sigma there and every composition is a grid path, so the
+        # result equals min_j f[j] + alpha[|j-i|] bit for bit
+        rng = np.random.default_rng(211)
+        for _ in range(40):
+            n = int(rng.integers(2, 16))
+            phi = efn(np.concatenate([[0.0], np.sort(dyadic(rng, 0, 1, n - 1))]))
+            f = rand_fn(rng, Grid(0.0, 1.0, n))
+            alpha = absolutely_subadditive_envelope(phi).values
+            shifts = alpha[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+            lower = (f.values + shifts).min(axis=1)
+            assert same_bits(holder_lower_envelope(f, phi).values, lower)
+            out, w = holder_sandwich(SampledFn(f.grid, lower), f, phi)
+            assert w is None and same_bits(out.values, lower)
+
+    @pytest.mark.parametrize("shift", [-0.5, 3.0])
+    def test_no_alpha_search(self, monkeypatch, shift):
+        def refuse(phi):
+            raise AssertionError("the Hölder envelopes need no alpha")
+
+        monkeypatch.setattr(function_envelopes, "absolutely_subadditive_envelope", refuse)
+        rng = np.random.default_rng(223)
+        grid = Grid(0.0, 1.0, 10)
+        phi, f = rand_error(rng, 10), rand_fn(rng, grid)
+        holder_upper_envelope(f, phi)
+        lo = holder_lower_envelope(f, phi)
+        out, w = holder_sandwich(SampledFn(grid, lo.values + shift), f, phi)
+        assert (out is None) == (shift > 0)
 
 
 class TestTableLongerThanGrid:
@@ -216,11 +277,10 @@ class TestTableLongerThanGrid:
             n = int(rng.integers(2, 9))
             grid = Grid(0.0, 1.0, n)
             phi = rand_error(rng, n + int(rng.integers(1, 2 * n + 2)))
-            alpha = bellman_ford_alpha(phi.values[:n], n - 1)
-            shifts = alpha[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+            cut = phi.values[:n]
             f = rand_fn(rng, grid)
-            lower = (f.values + shifts).min(axis=1)
-            upper = (f.values - shifts).max(axis=1)
+            lower = brute_grid_holder_lower(f.values, cut)
+            upper = -brute_grid_holder_lower(-f.values, cut)
             assert np.array_equal(holder_lower_envelope(f, phi).values, lower)
             assert np.array_equal(holder_upper_envelope(f, phi).values, upper)
             g = SampledFn(grid, lower - 0.5)
@@ -311,21 +371,23 @@ class TestSandwiches:
             else:
                 base = holder_lower_envelope(h, phi)
                 g = SampledFn(grid, base.values - dyadic(rng, 0, 0.5, 8))
-            alpha = absolutely_subadditive_envelope(phi).values
-            holds = all(
-                g.values[i] <= h.values[j] + alpha[abs(j - i)]
-                for i in range(8)
-                for j in range(8)
-            )
+            d = brute_grid_distances(phi.values, 8)
+            env = brute_grid_holder_lower(h.values, phi.values)
+            holds = bool(np.all(g.values <= env))
             out, w = holder_sandwich(g, h, phi, tol=0.0)
             assert (out is not None) == holds
             if out is not None:
                 feasible += 1
+                assert np.array_equal(out.values, env)
                 assert is_phi_holder(out, phi, 0.0)[0]
                 assert np.all(g.values <= out.values)
                 assert np.all(out.values <= h.values)
             else:
                 infeasible += 1
+                i, j = w.indices
+                assert w.lhs == g.values[i]
+                assert w.rhs == h.values[j] + d[j, i] == env[i]
+                assert w.lhs - w.rhs == (g.values - env).max()
         assert feasible and infeasible
 
     def test_lower_envelope_of_upper_bound_always_fits(self):
@@ -579,7 +641,7 @@ class TestMirrorsMatchDirectLoops:
         f, phi = case
         alpha = absolutely_subadditive_envelope(phi).values
         got = holder_upper_envelope(f, phi).values
-        assert same_bits(got, loop_holder_upper(f.values, alpha))
+        assert same_bits(got, loop_holder_upper_grid(f.values, phi.values))
         member = holder_lower_envelope(f, phi)
         pair = holder_bracket(member, phi, cover(phi))
         assert same_bits(pair.lower.values, loop_holder_upper(member.values, alpha))

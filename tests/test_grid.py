@@ -20,6 +20,7 @@ from approxmono import (
     ingest_samples,
     is_phi_holder,
     is_phi_monotone,
+    holder_sandwich,
     monotone_sandwich,
     pointwise_extrema,
 )
@@ -169,6 +170,15 @@ class TestMembershipOverflow:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="overflows the double range"):
                 monotone_sandwich(sfn(self.f), sfn([-1e308] * 3), efn(np.zeros(3)))
+
+    def test_holder_sandwich(self):
+        phi = efn([0.0, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflows the double range"):
+                holder_sandwich(sfn(self.f), sfn(self.f), phi)
+            out, w = holder_sandwich(sfn(self.f), sfn([1e308] * 3), phi)
+        assert w is None and list(out.values) == [1e308] * 3
 
     def test_large_finite_margin_still_a_witness(self):
         ok, w = is_phi_holder(sfn([1e307, -1e307, 1e307]), efn(np.zeros(3)))

@@ -1,4 +1,7 @@
+import warnings
+
 import numpy as np
+import pytest
 
 from approxmono import (
     ErrorFn,
@@ -17,6 +20,20 @@ from helpers import dyadic, mono_member, rand_error, rand_fn
 
 def sfn(vals, step=1.0):
     return SampledFn(Grid(0.0, step, len(vals)), vals)
+
+
+class TestIndividualOverflow:
+    @pytest.mark.parametrize("op", [individual_sigma, individual_alpha])
+    def test_overflowing_increment(self, op):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflows the double range"):
+                op(sfn([1e308, -1e308, 1e308]))
+
+    def test_overflowing_rise_leaves_sigma_at_zero(self):
+        # the drop -2e308 overflows, but sigma clamps it to 0 before the check
+        out = individual_sigma(sfn([-1e308, 1e308]))
+        assert list(out.values) == [0.0, 0.0]
 
 
 class TestIndividualSigma:
