@@ -20,6 +20,8 @@ from .grid import (
     SampledFn,
     Witness,
     WitnessKind,
+    _certified_pass,
+    _magnitude,
     _max_violation,
     check_tolerance,
     is_phi_holder,
@@ -52,15 +54,97 @@ def _sigma_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
     return subadditive_envelope(ErrorFn(phi.grid_step, offsets_table(f, phi))).values
 
 
+#: Candidate pairs per node beyond which `_forward_linear` hands a call to the
+#: quadratic loop (exact near-ties such as ``f[j] = -j * sigma[1]``).
+_CANDIDATES_PER_NODE = 8
+
+
 def _forward_min(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray:
     """``min over j >= i + skip of v[j] + sigma[j-i]`` for every node i.
 
-    Nodes whose range is empty (the last ``skip``) keep ``v[i]``.
+    Nodes whose range is empty (the last ``skip``) keep ``v[i]``.  Linear
+    sigma takes the O(N) `_forward_linear`, everything else the loop; both
+    give the same bits.
     """
+    out = _forward_linear(v, sigma, skip)
+    return _forward_min_loop(v, sigma, skip) if out is None else out
+
+
+def _forward_min_loop(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray:
+    """`_forward_min` one row at a time, in O(N^2)."""
     n = len(v)
     out = v.copy()
     for i in range(n - skip):
         out[i] = (v[i + skip :] + sigma[skip : n - i]).min()
+    return out
+
+
+@np.errstate(over="ignore")  # a non-finite quantity sends the call to the loop
+def _forward_linear(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray | None:
+    """`_forward_min` in O(N) when ``sigma[k] == fl(k * c)`` for k >= 1, with
+    ``c = sigma[1]``; None when that fails or the candidates are too many.
+
+    Why the bits are the loop's: row i is the least rounded sum
+    ``fl(v[j] + sigma[j-i])``.  Rounding is monotone, so that is fl of the
+    exact least sum, and any subset of j holding an exact argmin gives the
+    same value.  Neither sigma[0] nor c carries a sign bit (else None), so
+    no sum is -0.0 and equal values have equal bits.  The diagonal
+    ``v[i] + sigma[0]`` is always evaluated; the part over j > i is found
+    from ``w[j] = fl(v[j] + fl(j * c))`` as follows.
+
+    With u = 2^-53 and eta = 2^-1074 every rounding errs by at most
+    ``u*|x| + eta``, so the exact ``v[j] + sigma[j-i]`` is within
+    ``4u*(V + N*c) + 3*eta`` of ``w[j] - i*c``, where V = max |v|.  If j* is
+    an exact argmin of row i and m the argmin of w over j > i, then
+    ``w[j*] - i*c - B <= v[j*] + sigma[j*-i] <= v[m] + sigma[m-i]
+    <= w[m] - i*c + B``, hence ``w[j*] <= M[i] + 2B`` with M[i] the least
+    w[j] over j > i.  ``B = 2^-50 * (V + sigma[0] + N*c) + 2^-1072`` holds
+    that bound with room for the rounding of B itself and of the threshold
+    ``fl(M[i] + 2B)``.  M is nondecreasing in i, so the rows admitting j are
+    one run ending at j - 1, found by one `searchsorted` per j.
+    """
+    n = len(v)
+    c = sigma[1]
+    if np.signbit(sigma[0]) or np.signbit(c):
+        return None
+    w = np.arange(n, dtype=float)
+    w *= c
+    if not np.array_equal(w[1:], sigma[1:n]):
+        return None
+    w += v
+    bound = 2.0**-50 * (_magnitude(v) + float(sigma[0]) + n * float(c)) + 2.0**-1072
+    if not np.isfinite(bound):  # else no w[j] and no v[i] + sigma[0] overflows
+        return None
+    # thr[i] = fl(min(w[i+1:]) + 2B) for rows i = 0..n-2, nondecreasing
+    thr = np.empty(n - 1)
+    np.minimum.accumulate(w[:0:-1], out=thr[::-1])
+    thr += 2.0 * bound
+    # node j = 1..n-1 is a candidate for the count[j-1] rows before it
+    count = np.searchsorted(thr, w[1:])
+    del w, thr
+    count -= np.arange(1, n)
+    np.minimum(count, 0, out=count)
+    np.negative(count, out=count)
+    total = int(count.sum())
+    if total > _CANDIDATES_PER_NODE * n:
+        return None
+    idx = np.int32 if total + n < 2**31 else np.int64
+    count = count.astype(idx)
+    # pair t of node j's run has offset k = j - i = end[j] - t, end = cumsum
+    k = np.repeat(np.cumsum(count, dtype=idx), count)
+    k -= np.arange(total, dtype=idx)
+    rows = np.repeat(np.arange(1, n, dtype=idx), count)
+    rows -= k
+    vals = np.repeat(v[1:], count)
+    del count
+    vals += sigma[k]
+    del k
+    if skip == 0:
+        out = v + sigma[0]
+    else:
+        out = np.full(n, np.inf)
+        out[n - 1] = v[n - 1]
+    np.minimum.at(out, rows, vals)
     return out
 
 
@@ -150,6 +234,10 @@ def monotone_sandwich(
     returned function is the monotone lower envelope of h, which then
     satisfies g <= f <= h (within tol).  On infeasibility the maximal
     violating pair is returned instead.
+
+    The envelope is built first.  Every exact margin is at most
+    ``max(g - env)`` plus rounding, so when `_certified_pass` accepts that
+    excess (scale ``max|g| + max|h| + max sigma``) no pair is scanned.
     """
     check_tolerance(tol)
     if not g.grid.compatible(h.grid):
@@ -158,12 +246,18 @@ def monotone_sandwich(
     sig = _sigma_table(g, phi)
     gv, hv = g.values, h.values
     n = len(gv)
-    best = _max_violation(n, lambda k: (gv[: n - k] - hv[k:]) - sig[k], tol)
-    if best is not None:
-        k, i = best
-        lhs, rhs = float(gv[i]), float(hv[i + k] + sig[k])
-        return None, Witness(WitnessKind.SANDWICH, (i, i + k), lhs, rhs)
-    return SampledFn(h.grid, _forward_min(hv, sig, 0)), None
+    # env <= h, so it is finite; an overflowing candidate never wins
+    with np.errstate(over="ignore"):
+        env = _forward_min(hv, sig, 0)
+        excess = float((gv - env).max())
+    scale = _magnitude(gv) + _magnitude(hv) + float(sig.max())
+    if not _certified_pass(excess, n, scale, tol):
+        best = _max_violation(n, lambda k: (gv[: n - k] - hv[k:]) - sig[k], tol)
+        if best is not None:
+            k, i = best
+            lhs, rhs = float(gv[i]), float(hv[i + k] + sig[k])
+            return None, Witness(WitnessKind.SANDWICH, (i, i + k), lhs, rhs)
+    return SampledFn(h.grid, env), None
 
 
 def holder_sandwich(

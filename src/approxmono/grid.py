@@ -239,6 +239,50 @@ def _star_shaped(table: np.ndarray) -> bool:
     return bool(np.all(table[1:] >= np.arange(1, len(table)) * table[1]))
 
 
+def _magnitude(x: np.ndarray) -> float:
+    """``max |x|`` as a Python float, without an ``abs`` temporary."""
+    return max(float(x.max()), -float(x.min()))
+
+
+def _certified_pass(excess: float, n: int, scale: float, tol: float) -> bool:
+    """True only when ``excess + delta <= tol``, where
+    ``delta = 2^-50 * n * (scale + tol) + 2^-1070``; False on inf or NaN.
+
+    ``excess`` is a float-computed bound on every exact margin of a check
+    over n nodes, and ``scale`` bounds the sum of its operands' magnitudes.
+    While ``n * 2^-53 <= 0.01``, delta covers the rounding of excess (a sum
+    of n terms) and of every float margin the scan would form, so True means
+    the scan finds no margin above tol: ``(True, None)`` is the scan's answer.
+    """
+    delta = 2.0**-50 * n * (scale + tol) + 2.0**-1070
+    return bool(excess + delta <= tol)
+
+
+@np.errstate(over="ignore")  # an overflowing step fails the certificate
+def _star_pass(v: np.ndarray, table: np.ndarray, tol: float, holder: bool) -> bool:
+    """Certified pass, in O(N), of the monotone check (or, with ``holder``,
+    the Hölder check) of v against a table with ``table[k] >= k * table[1]``.
+
+    With c = table[1] and ``d_m = v[m] - v[m+1]`` (``|d_m|`` for Hölder),
+    the exact margin of a pair i < j = i + k is at most the sum of
+    ``d_m - c`` over its k unit steps plus ``k*c - table[k]``; the star
+    test bounds the latter by rounding.  So every margin is at most
+    ``sum of max(d_m - c, 0)``, which goes to `_certified_pass` with
+    scale ``max |v| + max table``.  False when the table fails the test.
+    """
+    if not _star_shaped(table):
+        return False
+    d = np.diff(v)
+    if holder:
+        np.abs(d, out=d)
+    else:
+        np.negative(d, out=d)
+    d -= table[1]
+    np.maximum(d, 0.0, out=d)
+    scale = _magnitude(v) + float(table.max())
+    return _certified_pass(float(d.sum()), len(v), scale, tol)
+
+
 @np.errstate(over="ignore")
 def _max_violation(
     rows: int, margins: Callable[[int], np.ndarray], tol: float, first: int = 0
@@ -269,11 +313,15 @@ def is_phi_monotone(
     """Check f[i] <= f[j] + phi[j-i] + tol for all node pairs i <= j.
 
     Returns ``(True, None)`` on success, otherwise ``(False, witness)`` where
-    the witness records the pair with the largest violation.
+    the witness records the pair with the largest violation.  On a table
+    with ``phi[k] >= k * phi[1]`` a pass is certified in O(N) when it can
+    be (`_star_pass`); otherwise every pair is scanned.
     """
     check_tolerance(tol)
     table = offsets_table(f, phi)
     v = f.values
+    if _star_pass(v, table, tol, holder=False):
+        return True, None
     n = len(v)
     best = _max_violation(n, lambda k: (v[: n - k] - v[k:]) - table[k], tol)
     if best is None:
@@ -289,11 +337,14 @@ def is_phi_holder(
     """Check |f[i] - f[j]| <= phi[|i-j|] + tol for all node pairs.
 
     Equivalent to both f and -f passing `is_phi_monotone`; scanned in one
-    ``|f[i] - f[j]|`` pass rather than two monotone ones.
+    ``|f[i] - f[j]|`` pass rather than two monotone ones, after the same
+    O(N) certificate.
     """
     check_tolerance(tol)
     table = offsets_table(f, phi)
     v = f.values
+    if _star_pass(v, table, tol, holder=True):
+        return True, None
     n = len(v)
     best = _max_violation(n, lambda k: np.abs(v[: n - k] - v[k:]) - table[k], tol)
     if best is None:
@@ -315,6 +366,7 @@ def cone_combine(
     error table is ``sum(a_i * phi_i)``; in ``holder`` mode arbitrary signs
     are allowed and the table is ``sum(|a_i| * phi_i)``.  If every input pair
     passes the corresponding membership check, so does the output pair.
+    Raises OverflowError when either sum leaves the double range.
     """
     if mode not in ("monotone", "holder"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -324,16 +376,21 @@ def cone_combine(
     for f in fns:
         if not f.grid.compatible(grid):
             raise DimensionMismatchError("all functions must share one grid")
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ValueError("coefficients must be finite")
     if mode == "monotone" and any(c < 0 for c in coeffs):
         raise ValueError("monotone mode requires nonnegative coefficients")
     n = grid.count
     fvals = np.zeros(n)
     evals = np.zeros(n)
-    for c, f, e in zip(coeffs, fns, errs):
-        table = offsets_table(f, e)
-        fvals = fvals + c * f.values
-        weight = c if mode == "monotone" else abs(c)
-        evals = evals + weight * table
+    # a sum past the double range is inf (or inf - inf): _finite raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, f, e in zip(coeffs, fns, errs):
+            table = offsets_table(f, e)
+            fvals += c * f.values
+            evals += (c if mode == "monotone" else abs(c)) * table
+    fvals = _finite(fvals, "combined function")
+    evals = _finite(evals, "combined error table")
     return SampledFn(grid, fvals), ErrorFn(grid.step, evals)
 
 

@@ -20,6 +20,7 @@ from approxmono import (
     SampledFn,
     monotone_lower_envelope,
 )
+from approxmono.grid import _max_violation
 
 SCALE = 2.0**-16
 
@@ -329,3 +330,33 @@ def loop_holder_upper_grid(v, table) -> np.ndarray:
             if cand > lab[w]:
                 lab[w] = cand
     return lab
+
+
+# The membership and sandwich scans without the O(N) certificate: the same
+# margins the library forms, passed to `grid._max_violation` directly.
+
+
+def _check_rows(v, table, holder: bool):
+    n = len(v)
+    if holder:
+        return lambda k: np.abs(v[: n - k] - v[k:]) - table[k]
+    return lambda k: (v[: n - k] - v[k:]) - table[k]
+
+
+def scan_check(v, table, tol: float, holder: bool = False):
+    """``(passes, witness pair or None)`` of the monotone or Hölder check."""
+    best = _max_violation(len(v), _check_rows(v, table, holder), tol)
+    return best is None, None if best is None else (best[1], best[1] + best[0])
+
+
+def largest_check_margin(v, table, holder: bool = False) -> float:
+    """The largest float margin the check's scan forms over all pairs."""
+    rows = _check_rows(v, table, holder)
+    return max(float(rows(k).max()) for k in range(len(v)))
+
+
+def scan_sandwich(gv, hv, sig, tol: float):
+    """``(feasible, witness pair or None)`` of the monotone sandwich scan."""
+    n = len(gv)
+    best = _max_violation(n, lambda k: (gv[: n - k] - hv[k:]) - sig[k], tol)
+    return best is None, None if best is None else (best[1], best[1] + best[0])

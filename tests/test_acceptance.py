@@ -38,6 +38,7 @@ from approxmono import (
     subadditive_envelope,
     total_phi_variation,
 )
+from approxmono.grid import _star_shaped
 from helpers import (
     brute_alpha,
     brute_grid_holder_lower,
@@ -340,6 +341,9 @@ def test_c13_performance():
     grid = Grid(0.0, 1.0, n)
     f = SampledFn(grid, np.cumsum(rng.normal(size=n)))
     phi = ErrorFn(1.0, np.abs(rng.normal(size=n)) + 0.01)
+    # a table with phi[k] >= k * phi[1] takes the O(N) paths; the budgets
+    # below time the quadratic scans and loops
+    assert not _star_shaped(phi.values)
 
     def timed(label, fn, budget=5.0):
         start = time.perf_counter()

@@ -23,8 +23,14 @@ from approxmono import (
     monotone_upper_envelope,
     subadditive_envelope,
 )
-from approxmono import function_envelopes
-from approxmono.function_envelopes import _check_folded_table_holder
+from approxmono import PowerErrorSpec, function_envelopes, power_error
+from approxmono.function_envelopes import (
+    _CANDIDATES_PER_NODE,
+    _check_folded_table_holder,
+    _forward_linear,
+    _forward_min,
+    _forward_min_loop,
+)
 from helpers import (
     brute_grid_distances,
     brute_grid_holder_lower,
@@ -37,6 +43,8 @@ from helpers import (
     rand_concave_increasing_error,
     rand_error,
     rand_fn,
+    scan_check,
+    scan_sandwich,
 )
 
 
@@ -659,3 +667,192 @@ class TestMirrorsMatchDirectLoops:
             ]
             for out in outs:
                 assert not np.signbit(out).any()
+
+
+@st.composite
+def linear_sigma_case(draw):
+    """(v, sigma, skip) with ``sigma[k] = fl(k * sigma[1])`` for k >= 1 and
+    any ``sigma[0] >= 0``.  Kinds: dyadic and non-dyadic random walks, sines,
+    near-linear ramps ``-j*c`` plus 1e-14 noise, exact plateaus ``-fl(j*c)``
+    (w constant), ±0.0 values against a zero table, a table of -0.0, and
+    magnitudes near 1e308."""
+    kind = draw(
+        st.sampled_from(
+            ["dyadic", "real", "sine", "ramp", "plateau", "zeros", "negzero", "huge"]
+        )
+    )
+    n = draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = float(dyadic(rng, 0, 1, 1)[0]) if kind == "dyadic" else rng.uniform(0, 1)
+    if kind == "dyadic":
+        v = np.cumsum(dyadic(rng, -1, 1, n))
+    elif kind == "real":
+        v = np.cumsum(rng.normal(size=n)) / np.sqrt(n)
+    elif kind == "sine":
+        v = np.sin(np.linspace(0, rng.uniform(1, 20), n)) + 1e-3 * rng.normal(size=n)
+    elif kind == "ramp":
+        v = -c * np.arange(n) + 1e-14 * rng.normal(size=n)
+    elif kind == "plateau":
+        v = -(np.arange(n) * c)
+    elif kind in ("zeros", "negzero"):
+        c = 0.0 if kind == "zeros" else -0.0
+        v = rng.choice([0.0, -0.0, 1.0, -1.0], size=n, p=[0.4, 0.4, 0.1, 0.1])
+    else:
+        c = rng.uniform(0, 1e308 / n)
+        v = 1.2e308 * rng.uniform(-1, 1, size=n) - 0.5e308
+    sigma = np.arange(n) * c
+    sigma[0] = draw(st.sampled_from([0.0, c, 0.75]))
+    if kind == "negzero":
+        sigma[0] = -0.0
+    return kind, v, sigma, draw(st.sampled_from([0, 1]))
+
+
+class TestLinearSigmaKernel:
+    """`_forward_min` on linear sigma must give the quadratic loop's bits,
+    whether it runs the candidate kernel or falls back to the loop."""
+
+    @given(linear_sigma_case())
+    @settings(max_examples=400, deadline=None)
+    def test_bit_equal_to_loop(self, case):
+        kind, v, sigma, skip = case
+        want = _forward_min_loop(v, sigma, skip)
+        assert same_bits(_forward_min(v, sigma, skip), want)
+        fast = _forward_linear(v, sigma, skip)
+        if kind == "negzero":
+            assert fast is None  # a -0.0 sum could break a tie's sign
+        n = len(v)
+        if kind == "plateau" and n * (n - 1) // 2 > _CANDIDATES_PER_NODE * n:
+            assert fast is None  # every pair ties: the loop must take over
+
+    def test_nonlinear_sigma_falls_back(self):
+        v = np.array([0.0, 1.0, -1.0, 2.0])
+        sigma = np.array([0.0, 1.0, 1.5, 2.0])
+        assert _forward_linear(v, sigma, 0) is None
+        assert same_bits(_forward_min(v, sigma, 0), _forward_min_loop(v, sigma, 0))
+
+    @pytest.mark.parametrize(
+        "v, c, sigma0",
+        [
+            ([0.0, 1.5e308, 0.0], 0.6e308, 0.0),  # v[j] + j*c overflows
+            ([1.7e308] + [-1.7e308] * 19, 5e306, 0.0),  # only max|v| + N*c does
+            ([1e308, 0.0, 0.0], 1.0, 1e308),  # the diagonal v[i] + sigma[0] does
+        ],
+    )
+    def test_overflow_falls_back(self, v, c, sigma0):
+        v = np.array(v)
+        sigma = np.arange(len(v)) * c
+        sigma[0] = sigma0
+        assert _forward_linear(v, sigma, 0) is None
+        with np.errstate(over="ignore"):  # the loop's own overflow warning
+            assert same_bits(_forward_min(v, sigma, 0), _forward_min_loop(v, sigma, 0))
+
+    @staticmethod
+    def _count_loop_calls(monkeypatch):
+        calls = []
+
+        def counting(v, sigma, skip):
+            calls.append(len(v))
+            return _forward_min_loop(v, sigma, skip)
+
+        monkeypatch.setattr(function_envelopes, "_forward_min_loop", counting)
+        return calls
+
+    def test_power_table_skips_the_loop(self, monkeypatch):
+        n = 5000
+        step = 1.0 / (n - 1)
+        phi = power_error(PowerErrorSpec(1.0, 1.5), step, n)
+        rng = np.random.default_rng(5000)
+        f = SampledFn(Grid(0.0, step, n), np.cumsum(rng.normal(size=n)) / np.sqrt(n))
+        calls = self._count_loop_calls(monkeypatch)
+        lo = monotone_lower_envelope(f, phi)
+        hi = monotone_upper_envelope(f, phi)
+        assert calls == []
+        sigma = subadditive_envelope(phi).values
+        assert same_bits(lo.values, _forward_min_loop(f.values, sigma, 0))
+        assert same_bits(hi.values, loop_monotone_upper(f.values, sigma))
+
+    def test_exact_plateau_calls_the_loop(self, monkeypatch):
+        n = 200
+        phi = efn(np.arange(n) * 0.25)
+        f = sfn(-(np.arange(n) * 0.25))
+        calls = self._count_loop_calls(monkeypatch)
+        out = monotone_lower_envelope(f, phi)
+        assert calls == [n]
+        assert np.array_equal(out.values, f.values)
+
+
+@st.composite
+def sandwich_case(draw):
+    """(g, h, phi, tol) on a star-shaped table: g below the envelope of h,
+    on it, or pushed over it at one node by a few ulps to 1e-3, with
+    non-dyadic data, so the certificate is tried on both sides of tol."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    phi = power_error(PowerErrorSpec(rng.uniform(0.01, 0.3), p), 1.0, n)
+    h = sfn(np.cumsum(rng.normal(size=n)) / np.sqrt(n))
+    env = monotone_lower_envelope(h, phi).values
+    g = env - draw(st.sampled_from([0.0, 1e-12, 0.5])) * rng.random(n)
+    i = draw(st.integers(0, n - 1))
+    g[i] = env[i] + draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-3]))
+    tol = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-3]))
+    return sfn(g), h, phi, tol
+
+
+class TestSandwichCertificate:
+    @given(sandwich_case())
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_and_witness_equal_the_scan(self, case):
+        g, h, phi, tol = case
+        sig = subadditive_envelope(phi).values
+        ok, pair = scan_sandwich(g.values, h.values, sig, tol)
+        out, w = monotone_sandwich(g, h, phi, tol)
+        assert (out is not None) == ok
+        if ok:
+            assert same_bits(out.values, _forward_min_loop(h.values, sig, 0))
+        else:
+            assert w.indices == pair
+
+    @given(mirror_case(), st.sampled_from([0.0, 1e-9]))
+    @settings(max_examples=200, deadline=None)
+    def test_mirror_cases_equal_the_scan(self, case, tol):
+        # zero and small-integer tables are star-shaped, so both checks may
+        # certify a pass here too
+        f, phi = case
+        sig = subadditive_envelope(phi).values
+        member = monotone_lower_envelope(f, phi)
+        for x in (f, member):
+            for holder, check in ((False, is_phi_monotone), (True, is_phi_holder)):
+                ok, w = check(x, phi, tol)
+                assert (ok, w and w.indices) == scan_check(x.values, phi.values, tol, holder)
+        ok, pair = scan_sandwich(f.values, member.values, sig, tol)
+        out, w = monotone_sandwich(f, member, phi, tol)
+        assert (out is not None, w and w.indices) == (ok, pair)
+
+    def test_margin_one_ulp_from_tol(self):
+        # g = h + d at one node: the only positive margin is d exactly
+        h = sfn(np.linspace(0.0, 1.0, 30) ** 2)
+        phi = power_error(PowerErrorSpec(1.0, 2.0), 1.0, 30)
+        for d in (1e-9, 0.1, 3.0):
+            g = h.values.copy()
+            g[7] += d
+            m = g[7] - h.values[7]
+            for tol in (np.nextafter(m, -np.inf), m, np.nextafter(m, np.inf)):
+                out, w = monotone_sandwich(sfn(g), h, phi, float(tol))
+                assert (out is None) == (m > tol)
+                assert (w is None) or w.indices == (7, 7)
+
+    def test_feasible_pair_skips_the_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scanned a certified sandwich")
+
+        monkeypatch.setattr(function_envelopes, "_max_violation", refuse)
+        n = 5000
+        step = 1.0 / (n - 1)
+        phi = power_error(PowerErrorSpec(1.0, 1.5), step, n)
+        rng = np.random.default_rng(5001)
+        h = SampledFn(Grid(0.0, step, n), np.cumsum(rng.normal(size=n)) / np.sqrt(n))
+        env = monotone_lower_envelope(h, phi)
+        g = SampledFn(h.grid, env.values - 0.01 * rng.random(n))
+        out, w = monotone_sandwich(g, h, phi)
+        assert w is None and same_bits(out.values, env.values)

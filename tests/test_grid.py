@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from approxmono import (
     Grid,
     GridError,
     IngestionError,
+    PowerErrorSpec,
     SampledFn,
     Witness,
     WitnessKind,
@@ -21,10 +23,22 @@ from approxmono import (
     is_phi_holder,
     is_phi_monotone,
     holder_sandwich,
+    monotone_lower_envelope,
     monotone_sandwich,
     pointwise_extrema,
+    power_error,
 )
-from helpers import SCALE, dyadic, mono_member, rand_error, rand_fn
+from approxmono import grid as grid_module
+from helpers import (
+    SCALE,
+    dyadic,
+    largest_check_margin,
+    mono_member,
+    rand_error,
+    rand_fn,
+    scan_check,
+    star_shaped_table,
+)
 
 
 def efn(vals, step=1.0):
@@ -185,6 +199,130 @@ class TestMembershipOverflow:
         assert not ok and w.lhs == 2e307
 
 
+def near_member(rng, table, holder: bool) -> np.ndarray:
+    """A member of the check, up to rounding: a monotone envelope of a
+    random walk, or (Hölder) steps within the table's slope."""
+    n = len(table)
+    if holder:
+        return np.cumsum(rng.uniform(-table[1], table[1], n))
+    walk = sfn(np.cumsum(rng.normal(size=n)) / math.sqrt(n))
+    return monotone_lower_envelope(walk, efn(table)).values.copy()
+
+
+def steep_ramp(rng, n: int):
+    """(v, table): v drops by ``c * (1 + 3e-17 * U)`` per step against the
+    non-dyadic table ``fl(k * c)``.  Every step excess is an ulp or less, and
+    ``fl(v[i] - v[j])`` may round above ``t[k] = fl(k * c)`` by about an ulp
+    of k*c more than the summed excess: what the certificate's delta covers."""
+    c = rng.uniform(0.01, 0.3)
+    steps = c * (1 + 3e-17 * rng.uniform(-1, 1, n - 1))
+    v = rng.uniform(-1, 1) - np.concatenate([[0.0], np.cumsum(steps)])
+    return v, np.arange(n) * c
+
+
+def float_excess(v, table, holder: bool) -> float:
+    """The excess the certificate computes: sum of max(d_m - table[1], 0)."""
+    d = np.diff(v)
+    d = np.abs(d) if holder else -d
+    return float(np.maximum(d - table[1], 0.0).sum())
+
+
+@st.composite
+def star_check_case(draw):
+    """(f, phi, tol, holder), mostly on a table with ``phi[k] >= k * phi[1]``:
+    near members, near members pushed over at one node by 1e-15 to 1e-3,
+    steep ramps and random values, on dyadic or non-dyadic tables.  tol may
+    be the certificate's own excess."""
+    holder = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["member", "bumped", "ramp", "random"]))
+    if kind == "ramp":
+        v, table = steep_ramp(rng, draw(st.integers(2, 48)))
+        if holder and draw(st.booleans()):
+            v = -v
+    else:
+        if draw(st.booleans()):
+            table = draw(star_shaped_table(max_size=48))
+        else:
+            n = draw(st.integers(2, 48))
+            # p = 0.5 is concave: the star test fails and every pair is scanned
+            p = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+            table = power_error(PowerErrorSpec(rng.uniform(0.01, 0.3), p), 1.0, n).values
+        if kind == "random":
+            v = rng.normal(size=len(table))
+        else:
+            v = near_member(rng, table, holder)
+        if kind == "bumped":
+            v[draw(st.integers(0, len(v) - 1))] += draw(st.sampled_from([1e-15, 1e-9, 1e-3]))
+    tol = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, "excess"]))
+    if tol == "excess":
+        tol = float_excess(v, table, holder)
+    return sfn(v), efn(table), tol, holder
+
+
+class TestCertifiedPass:
+    """On star-shaped tables a pass may be certified in O(N); the verdict and
+    witness must be the full scan's."""
+
+    @given(star_check_case())
+    @settings(max_examples=400, deadline=None)
+    def test_verdict_and_witness_equal_the_scan(self, case):
+        f, phi, tol, holder = case
+        ok, w = (is_phi_holder if holder else is_phi_monotone)(f, phi, tol)
+        want_ok, pair = scan_check(f.values, phi.values, tol, holder)
+        assert ok == want_ok
+        assert (w is None) == ok
+        if not ok:
+            assert w.indices == pair
+
+    @pytest.mark.parametrize("holder", [False, True])
+    def test_margin_one_ulp_from_tol(self, holder):
+        # tol at the largest float margin m, one ulp either side of it, and
+        # at the certificate's excess, which on steep ramps can sit below m
+        rng = np.random.default_rng(1201)
+        check = is_phi_holder if holder else is_phi_monotone
+        below = 0
+        for trial in range(200):
+            if trial < 8:
+                table = power_error(PowerErrorSpec(0.05, 1.5), 1.0, 200).values
+                v = near_member(rng, table, holder)
+                v[int(rng.integers(200))] += (0.0, 1e-12, 1e-6, 0.5)[trial % 4]
+            else:
+                v, table = steep_ramp(rng, int(rng.integers(3, 48)))
+            m = largest_check_margin(v, table, holder)
+            excess = float_excess(v, table, holder)
+            below += excess < m
+            for tol in (np.nextafter(m, -np.inf), m, np.nextafter(m, np.inf), excess):
+                if tol < 0:
+                    continue
+                ok, w = check(sfn(v), efn(table), float(tol))
+                assert ok == (m <= tol)
+                assert (ok, w and w.indices) == scan_check(v, table, float(tol), holder)
+        assert below  # some margin exceeds the summed excess
+
+    def test_table_below_the_ramp_is_scanned(self):
+        # unit steps stay within phi[1] = 1, but phi[2] = 1.5 < 2 * phi[1]
+        f, phi = sfn([2.0, 1.0, 0.0]), efn([0.0, 1.0, 1.5])
+        ok, w = is_phi_monotone(f, phi)
+        assert not ok and w.indices == (0, 2)
+        ok, w = is_phi_holder(f, phi)
+        assert not ok and w.indices == (0, 2)
+
+    def test_passing_members_skip_the_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scanned a certified pass")
+
+        monkeypatch.setattr(grid_module, "_max_violation", refuse)
+        n = 5000
+        rng = np.random.default_rng(1202)
+        phi = power_error(PowerErrorSpec(1.0, 1.5), 1.0 / (n - 1), n)
+        grid = Grid(0.0, 1.0 / (n - 1), n)
+        walk = SampledFn(grid, np.cumsum(rng.normal(size=n)) / math.sqrt(n))
+        assert is_phi_monotone(monotone_lower_envelope(walk, phi), phi) == (True, None)
+        holder_member = SampledFn(grid, near_member(rng, phi.values, holder=True))
+        assert is_phi_holder(holder_member, phi) == (True, None)
+
+
 class TestMonotoneCheck:
     def test_nondecreasing_with_zero_table(self):
         ok, w = is_phi_monotone(sfn([0, 1, 2]), efn([0, 0, 0]))
@@ -310,6 +448,25 @@ class TestHolderMonotoneEquivalence:
 
 
 class TestConeCombine:
+    @pytest.mark.parametrize(
+        "coeffs, which",
+        [([1, 1], "function"), ([1, 1], "table"), ([2, -2], "function")],
+    )
+    def test_overflowing_sums_raise_without_warning(self, coeffs, which):
+        # 2e308 - 2e308 is inf - inf: NaN, reported as the same overflow
+        big, small = [1e308] * 3, [0.0, 1.0, 2.0]
+        f = sfn(big if which == "function" else small)
+        phi = efn(big if which == "table" else small)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflows the double range"):
+                cone_combine(coeffs, [f, f], [phi, phi], "holder")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            cone_combine([bad], [sfn([0, 1])], [efn([0, 1])], "holder")
+
     def test_identity(self):
         f = sfn([1, 2, 0])
         phi = efn([0, 2, 2])
