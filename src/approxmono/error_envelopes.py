@@ -57,14 +57,31 @@ def power_error(spec: PowerErrorSpec, step: float, count: int) -> ErrorFn:
     return ErrorFn(step, vals)
 
 
+def _relative_violation(v: np.ndarray, w: np.ndarray, n: int, tol: float):
+    """``(j, k)`` of the largest margin above tol of ``v[j+k] <= v[j] + w[k]``
+    over ``1 <= j`` and ``j + k < n``, or None."""
+    return _max_violation(n, lambda j: v[j:n] - v[j] - w[: n - j], tol, 1)
+
+
+def _signed_violation(v: np.ndarray, w: np.ndarray, n: int, tol: float):
+    """``(j, k)`` of the largest margin above tol of ``v[|j+k|] <= v[j] + w[|k|]``
+    over ``0 <= j < n`` and signed k with ``|k|, |j+k| < n``, or None."""
+    # sym[n-1+k] = x[|k|] for x = v, w, so for k = -(n-1)..n-1-j the terms
+    # v[|j+k|] and w[|k|] are contiguous slices
+    sv, sw = (np.concatenate([x[n - 1 : 0 : -1], x[:n]]) for x in (v, w))
+    best = _max_violation(
+        n, lambda j: sv[j : 2 * n - 1] - v[j] - sw[: 2 * n - 1 - j], tol
+    )
+    return None if best is None else (best[0], best[1] - (n - 1))
+
+
 def is_subadditive(
     phi: ErrorFn, tol: float = DEFAULT_TOL
 ) -> tuple[bool, Witness | None]:
     """Check phi[j+k] <= phi[j] + phi[k] + tol for all j, k >= 0, j+k < N."""
     check_tolerance(tol)
     v = phi.values
-    n = len(v)
-    best = _max_violation(n, lambda j: v[j:] - v[j] - v[: n - j], tol)
+    best = _relative_violation(v, v, len(v), tol)  # j = 0 cannot fail: phi[0] >= 0
     if best is None:
         return True, None
     j, k = best
@@ -82,16 +99,10 @@ def is_absolutely_subadditive(
     """
     check_tolerance(tol)
     v = phi.values
-    n = len(v)
-    # sym[n-1+k] = v[|k|], so for k = -(n-1)..n-1-j the terms v[|j+k|] and
-    # v[|k|] are contiguous slices
-    sym = np.concatenate([v[:0:-1], v])
-    best = _max_violation(
-        n, lambda j: sym[j : 2 * n - 1] - v[j] - sym[: 2 * n - 1 - j], tol
-    )
+    best = _signed_violation(v, v, len(v), tol)
     if best is None:
         return True, None
-    j, k = best[0], best[1] - (n - 1)
+    j, k = best
     lhs, rhs = float(v[abs(j + k)]), float(v[j] + v[abs(k)])
     return False, Witness(WitnessKind.ABS_SUBADDITIVE, (j, k), lhs, rhs)
 
@@ -148,15 +159,7 @@ def _label_setting(labels: np.ndarray, row: Callable[[int], np.ndarray]):
     return lab, root
 
 
-def _folded_row(table: np.ndarray, u: int) -> np.ndarray:
-    """``min(table[|v-u|], table[u+v])`` for v = 0..N-1, the second term
-    while u+v stays on the table: the step u -> v on the folded lattice."""
-    n = len(table)
-    out = np.concatenate([table[u:0:-1], table[: n - u]])
-    np.minimum(out[: n - u], table[u:], out=out[: n - u])
-    return out
-
-
+@np.errstate(over="ignore")  # an inf cycle never undercuts phi[0]
 def absolutely_subadditive_envelope(phi: ErrorFn) -> ErrorFn:
     """Largest absolutely subadditive minorant of the table.
 
@@ -171,8 +174,15 @@ def absolutely_subadditive_envelope(phi: ErrorFn) -> ErrorFn:
     coincide whenever the input is nondecreasing.
     """
     v = phi.values
-    start = np.concatenate([[0.0], np.full(len(v) - 1, np.inf)])
-    out, _ = _label_setting(start, lambda u: _folded_row(v, u))
+    n = len(v)
+    m = n - 1
+    # the folded step u -> w costs min(v[|w-u|], v[u+w]), the second term
+    # while u+w stays on the table: sym[m+k] is v[|k|], or inf for k > m
+    sym = np.concatenate([v[:0:-1], v, np.full(m, np.inf)])
+    start = np.concatenate([[0.0], np.full(m, np.inf)])
+    out, _ = _label_setting(
+        start, lambda u: np.minimum(sym[m - u : m - u + n], sym[m + u : m + u + n])
+    )
     # offset 0 needs at least one part: either the literal 0-offset entry or
     # a closing step back from a reachable node
     cycle = float((out[1:] + v[1:]).min())

@@ -5,6 +5,8 @@ subadditive (or absolutely subadditive) envelope, which keeps membership and
 makes them idempotent on grids.  The Hölder envelopes and sandwich use
 ``min over j of f[j] + d(j, i)``, with d(j, i) the cheapest path from node j
 to node i through grid nodes, paying ``phi[|u-v|]`` per step u -> v.
+The brackets check their table hypotheses with the subadditivity scans of
+`error_envelopes`, the companion table psi on the right; no table is scanned here.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from .grid import (
     Witness,
     WitnessKind,
     _certified_pass,
+    _finite,
     _magnitude,
     _max_violation,
     check_tolerance,
@@ -29,8 +32,9 @@ from .grid import (
     offsets_table,
 )
 from .error_envelopes import (
-    _folded_row,
     _label_setting,
+    _relative_violation,
+    _signed_violation,
     absolutely_subadditive_envelope,
     subadditive_envelope,
 )
@@ -64,12 +68,14 @@ def _forward_min(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray:
 
     Nodes whose range is empty (the last ``skip``) keep ``v[i]``.  Linear
     sigma takes the O(N) `_forward_linear`, everything else the loop; both
-    give the same bits.
+    give the same bits.  A result past the double range raises OverflowError.
     """
     out = _forward_linear(v, sigma, skip)
-    return _forward_min_loop(v, sigma, skip) if out is None else out
+    out = _forward_min_loop(v, sigma, skip) if out is None else out
+    return _finite(out, "monotone envelope")
 
 
+@np.errstate(over="ignore")  # an inf sum never undercuts a finite one
 def _forward_min_loop(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray:
     """`_forward_min` one row at a time, in O(N^2)."""
     n = len(v)
@@ -148,6 +154,7 @@ def _forward_linear(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray |
     return out
 
 
+@np.errstate(over="ignore")  # an inf sum never undercuts a finite one
 def _shifted_extremum(v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """``min over j of v[j] + alpha[|j-i|]`` for every node i.
 
@@ -158,7 +165,7 @@ def _shifted_extremum(v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     out = np.empty(n)
     for i in range(n):
         out[i] = (v + sym[n - 1 - i : 2 * n - 1 - i]).min()
-    return out
+    return _finite(out, "Hölder envelope")
 
 
 def _grid_lower(v: np.ndarray, f: SampledFn, phi: ErrorFn):
@@ -246,9 +253,8 @@ def monotone_sandwich(
     sig = _sigma_table(g, phi)
     gv, hv = g.values, h.values
     n = len(gv)
-    # env <= h, so it is finite; an overflowing candidate never wins
-    with np.errstate(over="ignore"):
-        env = _forward_min(hv, sig, 0)
+    env = _forward_min(hv, sig, 0)
+    with np.errstate(over="ignore"):  # an inf excess fails the certificate
         excess = float((gv - env).max())
     scale = _magnitude(gv) + _magnitude(hv) + float(sig.max())
     if not _certified_pass(excess, n, scale, tol):
@@ -284,26 +290,6 @@ def holder_sandwich(
     return SampledFn(h.grid, env), None
 
 
-def _check_neg_table_monotone(
-    phi: ErrorFn, psi: ErrorFn, n: int, tol: float
-) -> None:
-    """Require phi[j] <= phi[i] + psi[j-i] on positive offsets 1 <= i <= j.
-
-    This is the monotone membership of the negated table against psi, the
-    hypothesis under which the monotone bracket halves inherit psi-membership.
-    """
-    pv = phi.values
-    sv = psi.values
-    best = _max_violation(n, lambda i: pv[i:n] - pv[i] - sv[: n - i], tol, 1)
-    if best is not None:
-        i, k = best
-        lhs, rhs = float(pv[i + k]), float(pv[i] + sv[k])
-        w = Witness(WitnessKind.MONOTONE, (i, i + k), lhs, rhs)
-        raise PreconditionError(
-            "negated error table is not monotone within the companion table", w
-        )
-
-
 def monotone_bracket(
     f: SampledFn, phi: ErrorFn, psi: ErrorFn, tol: float = DEFAULT_TOL
 ) -> BracketPair:
@@ -316,7 +302,8 @@ def monotone_bracket(
 
     Preconditions (checked, rejected with the violating witness): f passes
     the phi-monotone check, and the negated table passes the psi-monotone
-    check on positive offsets.
+    check on positive offsets, ``phi[i+k] <= phi[i] + psi[k]`` for i >= 1:
+    witness ``(i, i+k)``.
     """
     check_tolerance(tol)
     offsets_table(f, psi)
@@ -324,34 +311,19 @@ def monotone_bracket(
     ok, w = is_phi_monotone(f, phi, tol)
     if not ok:
         raise PreconditionError("function is not monotone within the error table", w)
-    _check_neg_table_monotone(phi, psi, n, tol)
+    pv, sv = phi.values, psi.values
+    best = _relative_violation(pv, sv, n, tol)
+    if best is not None:
+        i, k = best
+        lhs, rhs = float(pv[i + k]), float(pv[i] + sv[k])
+        w = Witness(WitnessKind.MONOTONE, (i, i + k), lhs, rhs)
+        raise PreconditionError(
+            "negated error table is not monotone within the companion table", w
+        )
     sig = _sigma_table(f, phi)
     lower = _backward_max(f.values, sig, 1)
     upper = _forward_min(f.values, sig, 1)
     return BracketPair(SampledFn(f.grid, lower), SampledFn(f.grid, upper))
-
-
-def _check_folded_table_holder(
-    phi: ErrorFn, psi: ErrorFn, n: int, tol: float
-) -> None:
-    """Require phi[u] <= phi[v] + min(psi[|v-u|], psi[u+v]) on grid offsets.
-
-    The ``u+v`` alternative only applies while it stays on the table.  This
-    is the Hölder membership of the table folded over signed offsets, the
-    hypothesis for the Hölder bracket.
-    """
-    pv = phi.values
-    sv = psi.values[:n]
-    best = _max_violation(n, lambda u: pv[u] - pv[:n] - _folded_row(sv, u), tol)
-    if best is not None:
-        u, vpos = best
-        rhs = float(pv[vpos] + _folded_row(sv, u)[vpos])
-        w = Witness(WitnessKind.HOLDER, (u, vpos), float(pv[u]), rhs)
-        raise PreconditionError(
-            "error table folded over signed offsets is not Hölder within the "
-            "companion table",
-            w,
-        )
 
 
 def holder_bracket(
@@ -363,7 +335,8 @@ def holder_bracket(
     ``upper[i] = min over j of f[j] + alpha[|j-i|]``; both sup and inf range
     over the whole grid, so no boundary convention is needed.  The returned
     ``gap_bound[i] = 2 * min over j of phi[|j-i|]`` dominates upper - lower
-    nodewise.
+    nodewise.  Preconditions as for `monotone_bracket`: the phi-Hölder check,
+    and ``phi[|j+k|] <= phi[j] + psi[|k|]`` over signed k, witness (|j+k|, j).
     """
     check_tolerance(tol)
     offsets_table(f, psi)
@@ -371,7 +344,17 @@ def holder_bracket(
     ok, w = is_phi_holder(f, phi, tol)
     if not ok:
         raise PreconditionError("function is not Hölder within the error table", w)
-    _check_folded_table_holder(phi, psi, n, tol)
+    pv, sv = phi.values, psi.values
+    best = _signed_violation(pv, sv, n, tol)
+    if best is not None:
+        j, k = best
+        u = abs(j + k)
+        lhs, rhs = float(pv[u]), float(pv[j] + sv[abs(k)])
+        w = Witness(WitnessKind.HOLDER, (u, j), lhs, rhs)
+        raise PreconditionError(
+            "error table folded over signed offsets is not Hölder within the "
+            "companion table", w
+        )
     cut = ErrorFn(phi.grid_step, offsets_table(f, phi))
     alpha = absolutely_subadditive_envelope(cut).values
     v = f.values
@@ -379,6 +362,8 @@ def holder_bracket(
     upper = _shifted_extremum(v, alpha)
     # the offsets |j-i| reachable from node i are 0..max(i, n-1-i)
     ar = np.arange(n)
-    gap = 2.0 * np.minimum.accumulate(phi.values[:n])[np.maximum(ar, n - 1 - ar)]
+    with np.errstate(over="ignore"):
+        gap = 2.0 * np.minimum.accumulate(pv[:n])[np.maximum(ar, n - 1 - ar)]
+    _finite(gap, "Hölder bracket gap bound")
     gap.setflags(write=False)
     return BracketPair(SampledFn(f.grid, lower), SampledFn(f.grid, upper), gap)

@@ -134,16 +134,19 @@ def is_holder_via_variation(
 ) -> bool:
     """True when the total variation stays below tol on every node range.
 
-    Agrees with the direct pairwise Hölder check; cubic in the node count
+    A pair is a one-piece partition of its range, so True implies that
+    `is_phi_holder` passes at the same tol, and at tol = 0 the two agree.
+    For tol > 0 the converse fails, since pieces add their margins: with a
+    zero table, f = [0, 0.9e-9, 0] passes the pair check at 1e-9 but has
+    variation 1.8e-9.  Exact on dyadic data; elsewhere the O(N) running sum
+    may round a few ulps below a pair margin.  Cubic in the node count
     (quadratic when every ``phi[k] >= k * phi[1]``), so meant for verification.
     """
     check_tolerance(tol)
-    n = f.grid.count
-    for start in range(n - 1):
-        prefix = total_phi_variation(f, phi, start, n - 1).prefix
-        if float(prefix[1:].max()) > tol:
-            return False
-    return True
+    return all(
+        total_phi_variation(f, phi, start).prefix[1:].max() <= tol
+        for start in range(f.grid.count - 1)
+    )
 
 
 def jordan_decompose(f: SampledFn, phi: ErrorFn, anchor: int = 0) -> JordanPair:

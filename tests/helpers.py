@@ -259,6 +259,34 @@ def brute_grid_holder_lower(fv, table) -> np.ndarray:
     return np.array([min(fv[j] + d[j, i] for j in range(n)) for i in range(n)])
 
 
+# The four table inequalities by enumeration of their index triples.  Each
+# margin is formed as the scans form it, ``(v[a] - v[b]) - w[c]``, so the
+# largest one is comparable bit for bit.
+
+
+def brute_relative_margin(v, w, n: int, first: int = 1) -> float:
+    """Largest ``(v[j+k] - v[j]) - w[k]`` over first <= j, k >= 0, j+k < n."""
+    assert n <= 12, "oracle meant for small tables"
+    return max(
+        (float(v[j + k]) - float(v[j])) - float(w[k])
+        for j in range(first, n)
+        for k in range(n - j)
+    )
+
+
+def brute_signed_margin(v, w, n: int) -> float:
+    """Largest ``(v[|j+k|] - v[|j|]) - w[|k|]`` over every signed j and k
+    with |j|, |k|, |j+k| < n (negative j included)."""
+    assert n <= 12, "oracle meant for small tables"
+    span = range(-(n - 1), n)
+    return max(
+        (float(v[abs(j + k)]) - float(v[abs(j)])) - float(w[abs(k)])
+        for j in span
+        for k in span
+        if abs(j + k) < n
+    )
+
+
 def brute_variation(fv, table, a: int, b: int) -> float:
     """Maximal partition variation by enumerating interior node subsets."""
     fv = np.asarray(fv, dtype=float)

@@ -594,6 +594,39 @@ class TestOverflowExit1:
         assert "Warning" not in capsys.readouterr().err
 
 
+class TestEnvelopeOverflowExit1:
+    @pytest.mark.parametrize(
+        "table, argv",
+        [
+            ([1e308, 1e308, 1.5e308], ["envelope", "--mode", "monotone"]),
+            ([0.0, 1e308, 1.5e308], ["bracket", "--mode", "monotone"]),
+            ([1e308, 1e308, 1.5e308], ["bracket", "--mode", "holder"]),
+        ],
+    )
+    def test_overflowing_output(self, tmp_path, capsys, table, argv):
+        path, phi = tmp_path / "f.csv", tmp_path / "phi.csv"
+        write_samples(path, [1e308] * 3)
+        phi.write_text(error_to_csv(ErrorFn(1.0, table)))
+        spec = f"file:{phi}"
+        if argv[0] == "bracket":
+            argv = argv + ["--error2", spec]
+        status, _ = run(argv + ["--input", str(path), "--error", spec])
+        out, err = capsys.readouterr()
+        assert status == 1 and out == ""
+        assert "overflows the double range" in err
+        assert "not finite" not in err and "Warning" not in err
+
+    def test_overflowing_candidates_lose(self, tmp_path, capsys):
+        path, phi = tmp_path / "f.csv", tmp_path / "phi.csv"
+        write_samples(path, [1e308] * 3)
+        phi.write_text(error_to_csv(ErrorFn(1.0, [0.0, 1e308, 1.5e308])))
+        argv = ["envelope", "--input", str(path), "--error", f"file:{phi}"]
+        status, _ = run(argv + ["--format", "json"])
+        out, err = capsys.readouterr()
+        assert status == 0 and "Warning" not in err
+        assert json.loads(out)["data"]["envelope"]["value"] == [1e308] * 3
+
+
 class TestCheckOverflowExit1:
     @pytest.mark.parametrize("mode", ["monotone", "holder"])
     def test_overflowing_margins(self, tmp_path, capsys, mode):

@@ -10,13 +10,16 @@ from approxmono import (
     ErrorFn,
     Grid,
     PowerErrorSpec,
+    PreconditionError,
     SampledFn,
     WitnessKind,
     absolutely_subadditive_envelope,
+    holder_bracket,
     is_absolutely_subadditive,
     is_phi_holder,
     is_phi_monotone,
     is_subadditive,
+    monotone_bracket,
     monotone_lower_envelope,
     power_error,
     subadditive_envelope,
@@ -25,7 +28,9 @@ from helpers import (
     SCALE,
     bellman_ford_alpha,
     brute_alpha,
+    brute_relative_margin,
     brute_sigma,
+    brute_signed_margin,
     dyadic,
     heap_alpha,
     loop_sigma,
@@ -124,6 +129,94 @@ class TestSubadditivityChecks:
             phi = rand_error(rng, 7, zero_at_origin=False)
             if is_absolutely_subadditive(phi, 0.0)[0]:
                 assert is_subadditive(phi, 0.0)[0]
+
+
+@st.composite
+def companion_case(draw):
+    """(v, w, n): tables of at least n <= 9 offsets (up to 3 more), dyadic or
+    not, with small integers mixed in for exact ties; w is often v itself."""
+    n = draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        entries = st.integers(0, 1 << 12).map(lambda i: i * 2.0**-8)
+    else:
+        entries = st.floats(0.0, 16.0, allow_nan=False, allow_infinity=False)
+    entries = st.one_of(entries, st.integers(0, 3).map(float))
+
+    def table():
+        size = n + draw(st.integers(0, 3))
+        return np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+
+    v = table()
+    return v, v if draw(st.booleans()) else table(), n
+
+
+TOLS = st.sampled_from([0.0, 1e-9, 0.5])
+
+
+class TestTableInequalitiesMatchEnumeration:
+    """The subadditivity checks and both bracket hypotheses on the tables
+    against enumeration of their index triples: the verdict is "largest
+    margin <= tol", and a witness attains that margin."""
+
+    @given(companion_case(), TOLS)
+    @settings(max_examples=200, deadline=None)
+    def test_is_subadditive(self, case, tol):
+        v = case[0]
+        most = brute_relative_margin(v, v, len(v), first=0)
+        ok, w = is_subadditive(ErrorFn(1.0, v), tol)
+        assert ok == (most <= tol)
+        if w is not None:
+            j, k = w.indices
+            assert (w.lhs, w.rhs) == (v[j + k], v[j] + v[k])
+            assert (v[j + k] - v[j]) - v[k] == most
+
+    @given(companion_case(), TOLS)
+    @settings(max_examples=200, deadline=None)
+    def test_is_absolutely_subadditive(self, case, tol):
+        v = case[0]
+        most = brute_signed_margin(v, v, len(v))
+        ok, w = is_absolutely_subadditive(ErrorFn(1.0, v), tol)
+        assert ok == (most <= tol)
+        if w is not None:
+            j, k = w.indices
+            assert (w.lhs, w.rhs) == (v[abs(j + k)], v[j] + v[abs(k)])
+            assert (v[abs(j + k)] - v[j]) - v[abs(k)] == most
+
+    @given(companion_case(), TOLS)
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_bracket_hypothesis(self, case, tol):
+        v, w, n = case
+        f = SampledFn(Grid(0.0, 1.0, n), np.zeros(n))  # a member of every table
+        most = brute_relative_margin(v, w, n)
+        if most <= tol:
+            monotone_bracket(f, ErrorFn(1.0, v), ErrorFn(1.0, w), tol)
+            return
+        with pytest.raises(PreconditionError, match="companion") as info:
+            monotone_bracket(f, ErrorFn(1.0, v), ErrorFn(1.0, w), tol)
+        wit = info.value.witness
+        i, k = wit.indices[0], wit.indices[1] - wit.indices[0]
+        assert wit.kind == WitnessKind.MONOTONE
+        assert (wit.lhs, wit.rhs) == (v[i + k], v[i] + w[k])
+        assert (v[i + k] - v[i]) - w[k] == most
+
+    @given(companion_case(), TOLS)
+    @settings(max_examples=200, deadline=None)
+    def test_holder_bracket_hypothesis(self, case, tol):
+        v, w, n = case
+        f = SampledFn(Grid(0.0, 1.0, n), np.zeros(n))
+        most = brute_signed_margin(v, w, n)
+        if most <= tol:
+            holder_bracket(f, ErrorFn(1.0, v), ErrorFn(1.0, w), tol)
+            return
+        with pytest.raises(PreconditionError, match="companion") as info:
+            holder_bracket(f, ErrorFn(1.0, v), ErrorFn(1.0, w), tol)
+        wit = info.value.witness
+        u, j = wit.indices
+        assert wit.kind == WitnessKind.HOLDER and wit.lhs == v[u]
+        # |k| is |u - j| or u + j; the witness takes one whose margin is largest
+        margins = {c: (v[u] - v[j]) - w[c] for c in (abs(u - j), u + j) if c < n}
+        assert max(margins.values()) == most
+        assert wit.rhs in {v[j] + w[c] for c, m in margins.items() if m == most}
 
 
 class TestSubadditiveEnvelope:

@@ -24,9 +24,9 @@ from approxmono import (
     subadditive_envelope,
 )
 from approxmono import PowerErrorSpec, function_envelopes, power_error
+from approxmono.error_envelopes import _signed_violation
 from approxmono.function_envelopes import (
     _CANDIDATES_PER_NODE,
-    _check_folded_table_holder,
     _forward_linear,
     _forward_min,
     _forward_min_loop,
@@ -539,6 +539,35 @@ class TestHolderBracket:
         assert exc.value.witness.kind is WitnessKind.HOLDER
 
 
+class TestEnvelopeOverflow:
+    """A monotone envelope, a bracket half or the gap bound past the double
+    range raises OverflowError; a numpy warning would fail the suite."""
+
+    f = sfn([1e308] * 3)
+
+    def test_overflowing_candidates_lose(self):
+        phi = efn([0.0, 1e308, 1.5e308])  # not star-shaped: the loop runs
+        assert list(monotone_lower_envelope(self.f, phi).values) == [1e308] * 3
+        with pytest.raises(OverflowError, match="overflows the double range"):
+            monotone_bracket(self.f, phi, phi)
+
+    @pytest.mark.parametrize("side", ["lower", "upper", "holder_bracket"])
+    def test_overflowing_envelope(self, side):
+        phi = efn([1e308, 1e308, 1.5e308])
+        call = {
+            "lower": lambda: monotone_lower_envelope(self.f, phi),
+            "upper": lambda: monotone_upper_envelope(-self.f, phi),
+            "holder_bracket": lambda: holder_bracket(self.f, phi, phi),
+        }[side]
+        with pytest.raises(OverflowError, match="envelope overflows the double range"):
+            call()
+
+    def test_overflowing_gap_bound(self):
+        phi = efn([1e308, 1e308, 1.5e308])
+        with pytest.raises(OverflowError, match="gap bound overflows"):
+            holder_bracket(sfn([0.0] * 3), phi, phi)
+
+
 class TestEnvelopePreservesHypotheses:
     def test_negated_table_membership_survives_envelope(self):
         rng = np.random.default_rng(113)
@@ -568,13 +597,11 @@ class TestEnvelopePreservesHypotheses:
             n = int(rng.integers(3, 8))
             phi = rand_error(rng, n, zero_at_origin=False)
             psi = rand_error(rng, n, zero_at_origin=False)
-            try:
-                _check_folded_table_holder(phi, psi, n, 0.0)
-            except PreconditionError:
+            if _signed_violation(phi.values, psi.values, n, 0.0) is not None:
                 continue
             checked += 1
             alpha = absolutely_subadditive_envelope(phi)
-            _check_folded_table_holder(alpha, psi, n, 1e-12)
+            assert _signed_violation(alpha.values, psi.values, n, 1e-12) is None
 
 
 class TestSigmaOncePerSandwich:
@@ -743,8 +770,7 @@ class TestLinearSigmaKernel:
         sigma = np.arange(len(v)) * c
         sigma[0] = sigma0
         assert _forward_linear(v, sigma, 0) is None
-        with np.errstate(over="ignore"):  # the loop's own overflow warning
-            assert same_bits(_forward_min(v, sigma, 0), _forward_min_loop(v, sigma, 0))
+        assert same_bits(_forward_min(v, sigma, 0), _forward_min_loop(v, sigma, 0))
 
     @staticmethod
     def _count_loop_calls(monkeypatch):

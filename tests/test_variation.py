@@ -167,6 +167,38 @@ def holder_member(rng, grid, phi):
     return holder_lower_envelope(rand_fn(rng, grid), phi)
 
 
+@st.composite
+def any_table_case(draw, max_size=12):
+    """(f, phi): a dyadic f and a dyadic table, star-shaped or arbitrary."""
+    if draw(st.booleans()):
+        vals = draw(star_shaped_table(max_size=max_size))
+    else:
+        n = draw(st.integers(2, max_size))
+        ints = draw(st.lists(st.integers(0, 1 << 17), min_size=n, max_size=n))
+        vals = np.array(ints, dtype=float) * SCALE
+    n = len(vals)
+    ints = draw(st.lists(st.integers(-(1 << 17), 1 << 17), min_size=n, max_size=n))
+    return sfn(np.array(ints, dtype=float) * SCALE), efn(vals)
+
+
+class TestHolderViaVariationContract:
+    def test_tolerance_is_not_additive(self):
+        # the range [0, 2] has variation 1.8e-9, the sum of its pair margins
+        f, phi = sfn([0.0, 0.9e-9, 0.0]), efn([0.0, 0.0, 0.0])
+        assert is_phi_holder(f, phi) == (True, None)
+        assert not is_holder_via_variation(f, phi)
+        assert not is_phi_holder(f, phi, 0.0)[0]
+        assert not is_holder_via_variation(f, phi, 0.0)
+
+    @given(any_table_case(), st.integers(0, 1 << 18))
+    @settings(max_examples=300, deadline=None)
+    def test_true_implies_pair_check_passes(self, case, tol_units):
+        f, phi = case
+        tol = tol_units * SCALE
+        if is_holder_via_variation(f, phi, tol):
+            assert is_phi_holder(f, phi, tol)[0]
+
+
 class TestJordanDecompose:
     def test_nondecreasing_zero_table(self):
         f = sfn([1.0, 2.0, 4.0, 4.5])
