@@ -21,10 +21,10 @@ from .grid import (
     ErrorFn,
     Witness,
     WitnessKind,
-    _max_violation,
     _star_shaped,
     check_tolerance,
 )
+from .scan import _shifted_violation
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def power_error(spec: PowerErrorSpec, step: float, count: int) -> ErrorFn:
 def _relative_violation(v: np.ndarray, w: np.ndarray, n: int, tol: float):
     """``(j, k)`` of the largest margin above tol of ``v[j+k] <= v[j] + w[k]``
     over ``1 <= j`` and ``j + k < n``, or None."""
-    return _max_violation(n, lambda j: v[j:n] - v[j] - w[: n - j], tol, 1)
+    return _shifted_violation(v[:n], v[:n], w[:n], tol, first=1)
 
 
 def _signed_violation(v: np.ndarray, w: np.ndarray, n: int, tol: float):
@@ -69,9 +69,7 @@ def _signed_violation(v: np.ndarray, w: np.ndarray, n: int, tol: float):
     # sym[n-1+k] = x[|k|] for x = v, w, so for k = -(n-1)..n-1-j the terms
     # v[|j+k|] and w[|k|] are contiguous slices
     sv, sw = (np.concatenate([x[n - 1 : 0 : -1], x[:n]]) for x in (v, w))
-    best = _max_violation(
-        n, lambda j: sv[j : 2 * n - 1] - v[j] - sw[: 2 * n - 1 - j], tol
-    )
+    best = _shifted_violation(sv, v[:n], sw, tol)
     return None if best is None else (best[0], best[1] - (n - 1))
 
 

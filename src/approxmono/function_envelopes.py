@@ -25,7 +25,6 @@ from .grid import (
     _certified_pass,
     _finite,
     _magnitude,
-    _max_violation,
     check_tolerance,
     is_phi_holder,
     is_phi_monotone,
@@ -38,6 +37,7 @@ from .error_envelopes import (
     absolutely_subadditive_envelope,
     subadditive_envelope,
 )
+from .scan import _diagonal_violation, _shifted_violation
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +258,7 @@ def monotone_sandwich(
         excess = float((gv - env).max())
     scale = _magnitude(gv) + _magnitude(hv) + float(sig.max())
     if not _certified_pass(excess, n, scale, tol):
-        best = _max_violation(n, lambda k: (gv[: n - k] - hv[k:]) - sig[k], tol)
+        best = _diagonal_violation(gv, hv, sig, tol)
         if best is not None:
             k, i = best
             lhs, rhs = float(gv[i]), float(hv[i + k] + sig[k])
@@ -282,7 +282,8 @@ def holder_sandwich(
         raise DimensionMismatchError("sandwich bounds must share one grid")
     env, root = _grid_lower(h.values, h, phi)
     gv = g.values
-    best = _max_violation(1, lambda _: gv - env, tol)
+    # one row: (g[p] - 0) - env[p] is g[p] - env[p] exactly
+    best = _shifted_violation(gv, np.zeros(1), env, tol)
     if best is not None:
         i = best[1]
         j = int(root[i])

@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
+
+from .scan import _diagonal_violation
 
 #: Additive slack used by all inequality checks unless the caller overrides it.
 #: Envelope outputs come out of floating-point min/max chains, so exact
@@ -283,30 +285,6 @@ def _star_pass(v: np.ndarray, table: np.ndarray, tol: float, holder: bool) -> bo
     return _certified_pass(float(d.sum()), len(v), scale, tol)
 
 
-@np.errstate(over="ignore")
-def _max_violation(
-    rows: int, margins: Callable[[int], np.ndarray], tol: float, first: int = 0
-) -> tuple[int, int] | None:
-    """``(row, pos)`` of the largest margin above tol over rows first..rows-1.
-
-    Rows are scanned in order and only a strictly larger margin replaces the
-    current best, so ties resolve to the first row, then the first position.
-    Inputs are finite, so a margin of +inf overflowed: OverflowError.
-    """
-    best_margin = tol
-    best = None
-    for r in range(first, rows):
-        row = margins(r)
-        pos = int(np.argmax(row))
-        m = float(row[pos])
-        if m > best_margin:
-            if m == math.inf:
-                raise OverflowError("violation margin overflows the double range")
-            best_margin = m
-            best = (r, pos)
-    return best
-
-
 def is_phi_monotone(
     f: SampledFn, phi: ErrorFn, tol: float = DEFAULT_TOL
 ) -> tuple[bool, Witness | None]:
@@ -315,15 +293,15 @@ def is_phi_monotone(
     Returns ``(True, None)`` on success, otherwise ``(False, witness)`` where
     the witness records the pair with the largest violation.  On a table
     with ``phi[k] >= k * phi[1]`` a pass is certified in O(N) when it can
-    be (`_star_pass`); otherwise every pair is scanned.
+    be (`_star_pass`); otherwise the pairs are scanned by the bounded kernel
+    `scan._max_violation`.
     """
     check_tolerance(tol)
     table = offsets_table(f, phi)
     v = f.values
     if _star_pass(v, table, tol, holder=False):
         return True, None
-    n = len(v)
-    best = _max_violation(n, lambda k: (v[: n - k] - v[k:]) - table[k], tol)
+    best = _diagonal_violation(v, v, table, tol)
     if best is None:
         return True, None
     k, i = best
@@ -345,8 +323,7 @@ def is_phi_holder(
     v = f.values
     if _star_pass(v, table, tol, holder=True):
         return True, None
-    n = len(v)
-    best = _max_violation(n, lambda k: np.abs(v[: n - k] - v[k:]) - table[k], tol)
+    best = _diagonal_violation(v, v, table, tol, holder=True)
     if best is None:
         return True, None
     k, i = best

@@ -20,7 +20,6 @@ from approxmono import (
     SampledFn,
     monotone_lower_envelope,
 )
-from approxmono.grid import _max_violation
 
 SCALE = 2.0**-16
 
@@ -360,31 +359,88 @@ def loop_holder_upper_grid(v, table) -> np.ndarray:
     return lab
 
 
-# The membership and sandwich scans without the O(N) certificate: the same
-# margins the library forms, passed to `grid._max_violation` directly.
+@np.errstate(over="ignore")
+def loop_max_violation(rows: int, margins, tol: float, first: int = 0):
+    """``(row, pos)`` of the largest margin above tol over rows first..rows-1.
+
+    The plain row loop the bounded kernel `scan._max_violation` replaces,
+    kept as its oracle: every row ``margins(r)`` is evaluated in order and
+    only a strictly larger margin replaces the current best, so ties resolve
+    to the first row, then the first position.  A margin of +inf raises
+    OverflowError.
+    """
+    best_margin = tol
+    best = None
+    for r in range(first, rows):
+        row = margins(r)
+        pos = int(np.argmax(row))
+        m = float(row[pos])
+        if m > best_margin:
+            if m == math.inf:
+                raise OverflowError("violation margin overflows the double range")
+            best_margin = m
+            best = (r, pos)
+    return best
 
 
-def _check_rows(v, table, holder: bool):
+# The five scans without the O(N) certificates or the tile bounds: the
+# margins the library forms, row by row, passed to the row loop.
+
+
+def check_rows(v, table, holder: bool = False):
+    """Row k of the monotone (or Hölder) check: its margins at i = 0..n-k-1."""
     n = len(v)
     if holder:
         return lambda k: np.abs(v[: n - k] - v[k:]) - table[k]
     return lambda k: (v[: n - k] - v[k:]) - table[k]
 
 
+def sandwich_rows(gv, hv, sig):
+    """Row k of the monotone sandwich scan."""
+    n = len(gv)
+    return lambda k: (gv[: n - k] - hv[k:]) - sig[k]
+
+
+def relative_rows(v, w, n: int):
+    """Row j of ``v[j+k] <= v[j] + w[k]``, at k = 0..n-j-1."""
+    return lambda j: v[j:n] - v[j] - w[: n - j]
+
+
+def signed_rows(v, w, n: int):
+    """Row j of ``v[|j+k|] <= v[j] + w[|k|]``, at k = -(n-1)..n-1-j."""
+    sv, sw = (np.concatenate([x[n - 1 : 0 : -1], x[:n]]) for x in (v, w))
+    return lambda j: sv[j : 2 * n - 1] - v[j] - sw[: 2 * n - 1 - j]
+
+
+@np.errstate(over="ignore")
+def largest_margin(rows: int, margins, first: int = 0) -> float:
+    """The largest float margin over rows first..rows-1."""
+    return max(float(margins(r).max()) for r in range(first, rows))
+
+
 def scan_check(v, table, tol: float, holder: bool = False):
     """``(passes, witness pair or None)`` of the monotone or Hölder check."""
-    best = _max_violation(len(v), _check_rows(v, table, holder), tol)
+    best = loop_max_violation(len(v), check_rows(v, table, holder), tol)
     return best is None, None if best is None else (best[1], best[1] + best[0])
 
 
 def largest_check_margin(v, table, holder: bool = False) -> float:
     """The largest float margin the check's scan forms over all pairs."""
-    rows = _check_rows(v, table, holder)
-    return max(float(rows(k).max()) for k in range(len(v)))
+    return largest_margin(len(v), check_rows(v, table, holder))
 
 
 def scan_sandwich(gv, hv, sig, tol: float):
     """``(feasible, witness pair or None)`` of the monotone sandwich scan."""
-    n = len(gv)
-    best = _max_violation(n, lambda k: (gv[: n - k] - hv[k:]) - sig[k], tol)
+    best = loop_max_violation(len(gv), sandwich_rows(gv, hv, sig), tol)
     return best is None, None if best is None else (best[1], best[1] + best[0])
+
+
+def scan_relative(v, w, n: int, tol: float):
+    """``(j, k)`` or None, as `error_envelopes._relative_violation`."""
+    return loop_max_violation(n, relative_rows(v, w, n), tol, 1)
+
+
+def scan_signed(v, w, n: int, tol: float):
+    """``(j, k)`` with signed k, or None, as `error_envelopes._signed_violation`."""
+    best = loop_max_violation(n, signed_rows(v, w, n), tol)
+    return None if best is None else (best[0], best[1] - (n - 1))

@@ -341,8 +341,9 @@ def test_c13_performance():
     grid = Grid(0.0, 1.0, n)
     f = SampledFn(grid, np.cumsum(rng.normal(size=n)))
     phi = ErrorFn(1.0, np.abs(rng.normal(size=n)) + 0.01)
-    # a table with phi[k] >= k * phi[1] takes the O(N) paths; the budgets
-    # below time the quadratic scans and loops
+    # a table with phi[k] >= k * phi[1] takes the O(N) paths, so the budgets
+    # below time the quadratic loops and the bounded scans, which may prune;
+    # the two subadditivity checks at the end are worst cases that skip no row
     assert not _star_shaped(phi.values)
 
     def timed(label, fn, budget=5.0):
@@ -366,6 +367,12 @@ def test_c13_performance():
         "lattice search",
         lambda: absolutely_subadditive_envelope(lattice_phi),
     )
+
+    # a linear table: every margin is 0, every tile bound above tol
+    linear = power_error(PowerErrorSpec(1.0, 1.0), 1.0 / (n - 1), n)
+    timed("linear subadditivity", lambda: is_subadditive(linear))
+    rough = ErrorFn(1.0, np.concatenate([[0.0], rng.uniform(0.2, 1.0, n - 1)]))
+    timed("rough absolute subadditivity", lambda: is_absolutely_subadditive(rough))
 
 
 if __name__ == "__main__":

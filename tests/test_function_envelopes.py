@@ -24,6 +24,7 @@ from approxmono import (
     subadditive_envelope,
 )
 from approxmono import PowerErrorSpec, function_envelopes, power_error
+from approxmono import scan
 from approxmono.error_envelopes import _signed_violation
 from approxmono.function_envelopes import (
     _CANDIDATES_PER_NODE,
@@ -872,7 +873,7 @@ class TestSandwichCertificate:
         def refuse(*args):
             raise AssertionError("scanned a certified sandwich")
 
-        monkeypatch.setattr(function_envelopes, "_max_violation", refuse)
+        monkeypatch.setattr(scan, "_max_violation", refuse)
         n = 5000
         step = 1.0 / (n - 1)
         phi = power_error(PowerErrorSpec(1.0, 1.5), step, n)

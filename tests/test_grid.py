@@ -28,7 +28,7 @@ from approxmono import (
     pointwise_extrema,
     power_error,
 )
-from approxmono import grid as grid_module
+from approxmono import scan
 from helpers import (
     SCALE,
     dyadic,
@@ -312,7 +312,7 @@ class TestCertifiedPass:
         def refuse(*args):
             raise AssertionError("scanned a certified pass")
 
-        monkeypatch.setattr(grid_module, "_max_violation", refuse)
+        monkeypatch.setattr(scan, "_max_violation", refuse)
         n = 5000
         rng = np.random.default_rng(1202)
         phi = power_error(PowerErrorSpec(1.0, 1.5), 1.0 / (n - 1), n)
