@@ -60,7 +60,8 @@ def power_error(spec: PowerErrorSpec, step: float, count: int) -> ErrorFn:
 def _relative_violation(v: np.ndarray, w: np.ndarray, n: int, tol: float):
     """``(j, k)`` of the largest margin above tol of ``v[j+k] <= v[j] + w[k]``
     over ``1 <= j`` and ``j + k < n``, or None."""
-    return _shifted_violation(v[:n], v[:n], w[:n], tol, first=1)
+    best = _shifted_violation(v[1:n], v[1:n], w[:n], tol)
+    return None if best is None else (best[0] + 1, best[1])
 
 
 def _signed_violation(v: np.ndarray, w: np.ndarray, n: int, tol: float):

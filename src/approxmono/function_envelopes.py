@@ -2,9 +2,12 @@
 
 The monotone operators and the Hölder bracket replace the error table by its
 subadditive (or absolutely subadditive) envelope, which keeps membership and
-makes them idempotent on grids.  The Hölder envelopes and sandwich use
-``min over j of f[j] + d(j, i)``, with d(j, i) the cheapest path from node j
-to node i through grid nodes, paying ``phi[|u-v|]`` per step u -> v.
+makes them idempotent on grids.  All of them run one min-plus row kernel,
+``min over j >= max(i + start, 0) of f[j] + table[|j-i|]`` (`_forward_min`;
+start 0 for the envelopes, 1 for the monotone bracket, 1 - N for the Hölder
+bracket), the max sides through its reflection.  The Hölder envelopes and
+sandwich use ``min over j of f[j] + d(j, i)``, with d(j, i) the cheapest path
+from node j to node i through grid nodes, paying ``phi[|u-v|]`` per step u -> v.
 The brackets check their table hypotheses with the subadditivity scans of
 `error_envelopes`, the companion table psi on the right; no table is scanned here.
 """
@@ -63,30 +66,36 @@ def _sigma_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
 _CANDIDATES_PER_NODE = 8
 
 
-def _forward_min(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray:
-    """``min over j >= i + skip of v[j] + sigma[j-i]`` for every node i.
+def _forward_min(v: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
+    """``min over j >= max(i + start, 0) of v[j] + table[|j-i|]`` for every i.
 
-    Nodes whose range is empty (the last ``skip``) keep ``v[i]``.  Linear
-    sigma takes the O(N) `_forward_linear`, everything else the loop; both
-    give the same bits.  A result past the double range raises OverflowError.
+    Start 0 gives the monotone envelopes, start 1 the strict bracket halves,
+    start ``1 - N`` (every j) the Hölder bracket.  Rows whose range is empty
+    (the last ``start``, for start > 0) keep ``v[i]``.  For start 0 and 1 a
+    linear table takes the O(N) `_forward_linear`, everything else the loop;
+    both give the same bits.  A result past the double range raises
+    OverflowError.
     """
-    out = _forward_linear(v, sigma, skip)
-    out = _forward_min_loop(v, sigma, skip) if out is None else out
-    return _finite(out, "monotone envelope")
+    out = _forward_linear(v, table, start) if start in (0, 1) else None
+    out = _forward_min_loop(v, table, start) if out is None else out
+    return _finite(out, "envelope")
 
 
 @np.errstate(over="ignore")  # an inf sum never undercuts a finite one
-def _forward_min_loop(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray:
-    """`_forward_min` one row at a time, in O(N^2)."""
+def _forward_min_loop(v: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
+    """`_forward_min` one row at a time, in O(N^2); row i of ``table[|j-i|]``
+    is one slice of the mirrored table ``sym[n-1+k] = table[|k|]``."""
     n = len(v)
+    sym = np.concatenate([table[n - 1 : 0 : -1], table[:n]])
     out = v.copy()
-    for i in range(n - skip):
-        out[i] = (v[i + skip :] + sigma[skip : n - i]).min()
+    for i in range(n - max(start, 0)):
+        j = i + start if i + start > 0 else 0  # cheaper than max() per row
+        out[i] = (v[j:] + sym[n - 1 + j - i : 2 * n - 1 - i]).min()
     return out
 
 
 @np.errstate(over="ignore")  # a non-finite quantity sends the call to the loop
-def _forward_linear(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray | None:
+def _forward_linear(v: np.ndarray, sigma: np.ndarray, start: int) -> np.ndarray | None:
     """`_forward_min` in O(N) when ``sigma[k] == fl(k * c)`` for k >= 1, with
     ``c = sigma[1]``; None when that fails or the candidates are too many.
 
@@ -145,27 +154,13 @@ def _forward_linear(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray |
     del count
     vals += sigma[k]
     del k
-    if skip == 0:
+    if start == 0:
         out = v + sigma[0]
     else:
         out = np.full(n, np.inf)
         out[n - 1] = v[n - 1]
     np.minimum.at(out, rows, vals)
     return out
-
-
-@np.errstate(over="ignore")  # an inf sum never undercuts a finite one
-def _shifted_extremum(v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """``min over j of v[j] + alpha[|j-i|]`` for every node i.
-
-    Row i of ``alpha[|j-i|]`` is a contiguous slice of the mirrored table.
-    """
-    n = len(v)
-    sym = np.concatenate([alpha[:0:-1], alpha])
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = (v + sym[n - 1 - i : 2 * n - 1 - i]).min()
-    return _finite(out, "Hölder envelope")
 
 
 def _grid_lower(v: np.ndarray, f: SampledFn, phi: ErrorFn):
@@ -183,11 +178,12 @@ def _neg(x: np.ndarray) -> np.ndarray:
     return 0.0 - x
 
 
-def _backward_max(v: np.ndarray, sigma: np.ndarray, skip: int) -> np.ndarray:
-    """``max over j <= i - skip of v[j] - sigma[i-j]``: `_forward_min` on the
-    reflection ``-v[::-1]``, reflected back.  Negation and reversal are exact,
-    so this equals the direct maximum; a zero result is always +0.0."""
-    return _neg(_forward_min(_neg(v[::-1]), sigma, skip)[::-1])
+def _backward_max(v: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
+    """``max over j <= min(i - start, N-1) of v[j] - table[|i-j|]``:
+    `_forward_min` on the reflection ``-v[::-1]``, reflected back.  Negation
+    and reversal are exact, so this equals the direct maximum; a zero result
+    is always +0.0."""
+    return _neg(_forward_min(_neg(v[::-1]), table, start)[::-1])
 
 
 def _require_zero_at_origin(phi: ErrorFn) -> None:
@@ -358,9 +354,8 @@ def holder_bracket(
         )
     cut = ErrorFn(phi.grid_step, offsets_table(f, phi))
     alpha = absolutely_subadditive_envelope(cut).values
-    v = f.values
-    lower = _neg(_shifted_extremum(_neg(v), alpha))
-    upper = _shifted_extremum(v, alpha)
+    lower = _backward_max(f.values, alpha, 1 - n)
+    upper = _forward_min(f.values, alpha, 1 - n)
     # the offsets |j-i| reachable from node i are 0..max(i, n-1-i)
     ar = np.arange(n)
     with np.errstate(over="ignore"):

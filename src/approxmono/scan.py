@@ -41,9 +41,8 @@ def _max_violation(
     margins: Callable[[int, int, int], np.ndarray],
     bounds: Callable[[int], Callable[[int], np.ndarray]],
     tol: float,
-    first: int = 0,
 ) -> tuple[int, int] | None:
-    """``(row, pos)`` of the largest margin above tol over rows first..rows-1,
+    """``(row, pos)`` of the largest margin above tol over rows 0..rows-1,
     where row r holds the positions 0..width-r-1.
 
     ``margins(r, lo, hi)`` gives row r's float margins at positions lo..hi-1.
@@ -65,13 +64,12 @@ def _max_violation(
     side = max(32, math.isqrt(width - 1) + 1)  # about sqrt(width): O(width) tiles
     row_bound = bounds(side)
     blocks = range(-(-rows // side))
-    start = [max(t * side, first) for t in blocks]
 
     def tiles(t):  # the bounds of row block t, up to its last tile holding a pair
-        return row_bound(t)[: -(-(width - start[t]) // side)]
+        return row_bound(t)[: -(-(width - t * side) // side)]
 
     def tile_rows(t):
-        return range(start[t], min(t * side + side, rows))
+        return range(t * side, min(t * side + side, rows))
 
     tops = [float(tiles(t).max()) for t in blocks]
     t = int(np.argmax(tops))
@@ -143,10 +141,10 @@ def _diagonal_violation(
 
 
 def _shifted_violation(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float, first: int = 0
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float
 ) -> tuple[int, int] | None:
     """``(r, p)`` of the largest margin above tol of ``(a[r+p] - b[r]) - c[p]``
-    over ``first <= r < len(b)`` and ``r + p < len(a)``; see `_max_violation`."""
+    over ``0 <= r < len(b)`` and ``r + p < len(a)``; see `_max_violation`."""
     rows, width = len(b), len(a)
 
     def margins(r, lo, hi):
@@ -159,4 +157,4 @@ def _shifted_violation(
         c_min = _blocks(c[:width], side, nw, np.minimum)
         return lambda t: (a_max[t : t + nw] - b_min[t]) - c_min
 
-    return _max_violation(rows, width, margins, bounds, tol, first)
+    return _max_violation(rows, width, margins, bounds, tol)

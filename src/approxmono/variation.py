@@ -89,8 +89,8 @@ def phi_variation(f: SampledFn, partition: Partition, phi: ErrorFn) -> float:
     v = f.values
     acc = 0.0
     for a, b in zip(idx, idx[1:]):
-        acc = acc + (abs(float(v[b] - v[a])) - float(table[b - a]))
-    return acc
+        acc = acc + (abs(float(v[b]) - float(v[a])) - float(table[b - a]))
+    return _finite(acc, "partition variation")
 
 
 @np.errstate(over="ignore")
@@ -204,5 +204,7 @@ def delta_variation_bound(
         diff = SampledFn(gq.grid, _finite(gq.values - hq.values, "difference"))
     combined = ErrorFn(gq.grid.step, doubled)
     total = total_phi_variation(diff, combined, 0, n - 1).total
-    bound = float(gq.values[-1] - gq.values[0] + hq.values[-1] - hq.values[0])
-    return total, bound
+    g, h = gq.values, hq.values
+    with np.errstate(over="ignore"):
+        bound = _finite(g[-1] - g[0] + h[-1] - h[0], "variation bound")
+    return total, float(bound)

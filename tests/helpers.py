@@ -342,6 +342,15 @@ def loop_holder_upper(v, alpha) -> np.ndarray:
     return out
 
 
+def loop_holder_lower(v, alpha) -> np.ndarray:
+    """``min over j of v[j] + alpha[|j-i|]``, one row at a time."""
+    n = len(v)
+    out = np.empty(n)
+    for i in range(n):
+        out[i] = (v + alpha[np.abs(np.arange(n) - i)]).min()
+    return out
+
+
 def loop_holder_upper_grid(v, table) -> np.ndarray:
     """``max over j of v[j] - d(j, i)`` by a max-side label-setting loop:
     settle the open node with the greatest label (first index on ties), then

@@ -36,6 +36,7 @@ from helpers import (
     brute_grid_distances,
     brute_grid_holder_lower,
     dyadic,
+    loop_holder_lower,
     loop_holder_upper,
     loop_holder_upper_grid,
     loop_monotone_bracket,
@@ -681,6 +682,7 @@ class TestMirrorsMatchDirectLoops:
         member = holder_lower_envelope(f, phi)
         pair = holder_bracket(member, phi, cover(phi))
         assert same_bits(pair.lower.values, loop_holder_upper(member.values, alpha))
+        assert same_bits(pair.upper.values, loop_holder_lower(member.values, alpha))
 
     def test_derived_sides_never_return_negative_zero(self):
         # without the +0.0 after negation, +0.0 input comes back as -0.0;

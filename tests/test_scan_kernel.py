@@ -281,14 +281,14 @@ class TestPrunedWork:
         counts = []
         kernel = scan._max_violation
 
-        def counting(rows, width, margins, bounds, tol, first=0):
+        def counting(rows, width, margins, bounds, tol):
             counts.append(0)
 
             def counted(r, lo, hi):
                 counts[-1] += hi - lo
                 return margins(r, lo, hi)
 
-            return kernel(rows, width, counted, bounds, tol, first)
+            return kernel(rows, width, counted, bounds, tol)
 
         monkeypatch.setattr(scan, "_max_violation", counting)
         return counts

@@ -299,6 +299,17 @@ class TestOverflow:
         with pytest.raises(OverflowError):
             jordan_decompose(sfn([0.0, 1.0, 2.0]), efn([0.0, 1e308, 1e308]))
 
+    def test_partition_variation(self):
+        f = sfn([1e308, -1e308, 1e308])
+        with pytest.raises(OverflowError, match="overflows the double range"):
+            phi_variation(f, Partition((0, 1, 2)), efn(np.zeros(3)))
+
+    def test_delta_bound(self):
+        q = sfn([0.0, 0.75e308, 1.5e308])
+        zero = efn(np.zeros(3))
+        with pytest.raises(OverflowError, match="overflows the double range"):
+            delta_variation_bound(q, q, zero, zero)
+
     def test_large_finite_values_still_pass(self):
         f = sfn([1e307, -1e307, 1e307])
         table = total_phi_variation(f, efn(np.zeros(3)))
