@@ -21,6 +21,8 @@ from .grid import (
     ErrorFn,
     Witness,
     WitnessKind,
+    _certified_pass,
+    _magnitude,
     _star_shaped,
     check_tolerance,
 )
@@ -57,9 +59,49 @@ def power_error(spec: PowerErrorSpec, step: float, count: int) -> ErrorFn:
     return ErrorFn(step, vals)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or NaN fails the certificate
+def _window_pass(v: np.ndarray, w: np.ndarray, n: int, tol: float) -> bool:
+    """Certified pass, in O(N), of the scan of `_relative_violation`: True
+    only when it finds no margin above tol.
+
+    Let ``x = v[1:n]`` (M = n - 1 entries) and ``D[m] = x[m+1] - x[m]``.  The
+    exact margin of (j, k) is the sum of D over the window of k steps from
+    j - 1, minus w[k].  U, the prefix maximum of D, is nondecreasing, so that
+    sum is at most the sum of U over the window, at most the sum of U over
+    the last window of k steps, which is ``x[M-1] - x[M-1-k]`` plus the sum
+    of ``U - D >= 0`` over it.  So every margin is at most
+    ``max_k (x[M-1] - x[M-1-k] - w[k]) + sum(U - D)``, exactly the largest
+    margin when D is nondecreasing (a convex table).
+
+    Rounding, with u = 2^-53, X = max |x| and W = max |w[:M]|: run the
+    argument on the float steps D', each within 2uX of D (a subnormal
+    difference is exact), which moves the bound by 4kuX, k <= n - 2.  The
+    float first term errs by at most u(4X + W) per k, the terms fl(U' - D')
+    and their sum S' by a factor 1 + 1.02nu, the final sum by u|excess|.
+    The k = 0 term is -w[0] >= -W, so a passing excess has S' <= (1 + 2u)
+    (tol + W).  The scan's float margin exceeds the exact one by at most
+    u(4X + W).
+    Altogether the slack is below 8nu(tol + X + W), the delta of
+    `_certified_pass` with scale X + W.  Overflow: an infinite D' makes
+    some U' - D' inf or NaN, and so the excess; a first term of -inf
+    stands for an exact one below -W, which the k = 0 term covers.
+    """
+    x = v[1:n]
+    d = np.diff(x)
+    first = x[-1] - x[::-1]
+    first -= w[: n - 1]
+    top = np.maximum.accumulate(d)
+    top -= d
+    scale = _magnitude(x) + _magnitude(w[: n - 1])
+    return _certified_pass(float(first.max()) + float(top.sum()), n, scale, tol)
+
+
 def _relative_violation(v: np.ndarray, w: np.ndarray, n: int, tol: float):
     """``(j, k)`` of the largest margin above tol of ``v[j+k] <= v[j] + w[k]``
-    over ``1 <= j`` and ``j + k < n``, or None."""
+    over ``1 <= j`` and ``j + k < n``, or None.  A pass that `_window_pass`
+    certifies scans no pair."""
+    if _window_pass(v, w, n, tol):
+        return None
     best = _shifted_violation(v[1:n], v[1:n], w[:n], tol)
     return None if best is None else (best[0] + 1, best[1])
 
@@ -77,7 +119,13 @@ def _signed_violation(v: np.ndarray, w: np.ndarray, n: int, tol: float):
 def is_subadditive(
     phi: ErrorFn, tol: float = DEFAULT_TOL
 ) -> tuple[bool, Witness | None]:
-    """Check phi[j+k] <= phi[j] + phi[k] + tol for all j, k >= 0, j+k < N."""
+    """Check phi[j+k] <= phi[j] + phi[k] + tol for all j, k >= 0, j+k < N.
+
+    A pass is certified in O(N) when it can be (`_window_pass`, as on a
+    linear table with tol above its rounding allowance, about
+    ``2^-50 * N * (2 * max phi + tol)``); otherwise the pairs are scanned
+    by the bounded kernel, and a failure reports the largest margin.
+    """
     check_tolerance(tol)
     v = phi.values
     best = _relative_violation(v, v, len(v), tol)  # j = 0 cannot fail: phi[0] >= 0

@@ -300,7 +300,9 @@ def monotone_bracket(
     Preconditions (checked, rejected with the violating witness): f passes
     the phi-monotone check, and the negated table passes the psi-monotone
     check on positive offsets, ``phi[i+k] <= phi[i] + psi[k]`` for i >= 1:
-    witness ``(i, i+k)``.
+    witness ``(i, i+k)``.  The second is the subadditivity scan with psi on
+    the right, so its pass is certified in O(N) when it can be, as for
+    ``psi[k] = phi[N-1] - phi[N-1-k]`` on a convex phi.
     """
     check_tolerance(tol)
     offsets_table(f, psi)

@@ -161,8 +161,9 @@ def jordan_decompose(f: SampledFn, phi: ErrorFn, anchor: int = 0) -> JordanPair:
     n = f.grid.count
     if not (0 <= anchor <= n - 2):
         raise ValueError(f"anchor {anchor} needs at least one node to its right")
+    table = offsets_table(f, phi)  # offsets past the grid never enter
     with np.errstate(over="ignore"):
-        doubled = ErrorFn(phi.grid_step, _finite(2.0 * phi.values, "doubled table"))
+        doubled = ErrorFn(phi.grid_step, _finite(2.0 * table, "doubled table"))
     prefix = total_phi_variation(f, doubled, anchor, n - 1).prefix
     seg = f.values[anchor:]
     with np.errstate(over="ignore"):

@@ -38,6 +38,7 @@ from approxmono import (
     subadditive_envelope,
     total_phi_variation,
 )
+from approxmono import scan
 from approxmono.grid import _star_shaped
 from helpers import (
     brute_alpha,
@@ -335,7 +336,7 @@ def test_c12_individual_tables():
 
 
 @criterion(13, "quadratic scans at 5000 nodes and the lattice search stay under budget")
-def test_c13_performance():
+def test_c13_performance(monkeypatch):
     rng = np.random.default_rng(1013)
     n = 5000
     grid = Grid(0.0, 1.0, n)
@@ -343,7 +344,7 @@ def test_c13_performance():
     phi = ErrorFn(1.0, np.abs(rng.normal(size=n)) + 0.01)
     # a table with phi[k] >= k * phi[1] takes the O(N) paths, so the budgets
     # below time the quadratic loops and the bounded scans, which may prune;
-    # the two subadditivity checks at the end are worst cases that skip no row
+    # the last two subadditivity checks are worst cases that skip no row
     assert not _star_shaped(phi.values)
 
     def timed(label, fn, budget=5.0):
@@ -368,11 +369,22 @@ def test_c13_performance():
         lambda: absolutely_subadditive_envelope(lattice_phi),
     )
 
-    # a linear table: every margin is 0, every tile bound above tol
+    scans = []
+    kernel = scan._max_violation
+    monkeypatch.setattr(scan, "_max_violation", lambda *a: scans.append(1) or kernel(*a))
+    # a linear table: every margin is 0 or a rounding residue, so the window
+    # certificate passes it in O(N) and no pair is scanned
     linear = power_error(PowerErrorSpec(1.0, 1.0), 1.0 / (n - 1), n)
-    timed("linear subadditivity", lambda: is_subadditive(linear))
+    assert timed("linear subadditivity", lambda: is_subadditive(linear)) == (True, None)
+    assert scans == []
     rough = ErrorFn(1.0, np.concatenate([[0.0], rng.uniform(0.2, 1.0, n - 1)]))
     timed("rough absolute subadditivity", lambda: is_absolutely_subadditive(rough))
+    # the linear table plus noise in [1e-6, 2e-6] off 0 stays subadditive,
+    # but the certificate declines it and every tile bound exceeds tol
+    noisy = linear.values + np.concatenate([[0.0], rng.uniform(1e-6, 2e-6, n - 1)])
+    scans.clear()
+    ok = timed("noisy linear subadditivity", lambda: is_subadditive(ErrorFn(1.0, noisy)))
+    assert ok == (True, None) and scans == [1]
 
 
 if __name__ == "__main__":

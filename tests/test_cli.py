@@ -372,6 +372,18 @@ class TestRunBracketVariationJordan:
         assert is_phi_monotone(h, zero, 0.0)[0]
         assert str(tmp_path / "jord.g.csv") in report.outputs
 
+    def test_jordan_with_table_longer_than_grid(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_samples(path, [0.0, 1.0, 0.5])
+        table = tmp_path / "phi.csv"
+        table.write_text(error_to_csv(ErrorFn(1.0, [0.0, 1.0, 1.0, 1e308])))
+        out = tmp_path / "jord.csv"
+        argv = ["jordan", "--input", str(path), "--error", f"file:{table}"]
+        status, _ = run(argv + ["--output", str(out)])
+        assert status == 0
+        g = samples_from_csv((tmp_path / "jord.g.csv").read_text())
+        assert list(g.values) == [0.0, 0.0, -0.5]
+
     def test_individual_alpha(self, tmp_path, capsys):
         path = tmp_path / "f.csv"
         write_samples(path, [0.0, -3.0, 1.0])

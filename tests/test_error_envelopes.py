@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxmono import error_envelopes
+from approxmono import error_envelopes, scan
 from approxmono import (
     ErrorFn,
     Grid,
@@ -33,11 +33,14 @@ from helpers import (
     brute_signed_margin,
     dyadic,
     heap_alpha,
+    largest_margin,
     loop_sigma,
     rand_concave_increasing_error,
     rand_error,
     rand_fn,
+    relative_rows,
     same_bits,
+    scan_relative,
     separating_step_fn,
     star_shaped_table,
 )
@@ -217,6 +220,142 @@ class TestTableInequalitiesMatchEnumeration:
         margins = {c: (v[u] - v[j]) - w[c] for c in (abs(u - j), u + j) if c < n}
         assert max(margins.values()) == most
         assert wit.rhs in {v[j] + w[c] for c, m in margins.items() if m == most}
+
+
+@st.composite
+def window_case(draw):
+    """(v, w, n, tol) for ``v[j+k] <= v[j] + w[k]``: power tables (concave,
+    linear or convex) in floats, so convex or concave only up to rounding,
+    some nudged by a few ulps per offset or bumped at one offset.  w is v
+    (subadditivity), the last-window steps ``v[n-1] - v[n-1-k]`` of the
+    monotone bracket's benchmark hypothesis, or v scaled.  tol is fixed, or at the largest float
+    margin or one ulp either side of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 64))
+    p = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+    spec = PowerErrorSpec(rng.uniform(0.1, 2.0), p)
+    v = power_error(spec, rng.uniform(0.01, 1.0), n).values.copy()
+    shape = draw(st.sampled_from(["plain", "nudged", "bumped"]))
+    if shape == "nudged":
+        v[1:] *= 1.0 + rng.integers(-4, 5, n - 1) * 2.0**-52
+    elif shape == "bumped":
+        v[draw(st.integers(1, n - 1))] += draw(st.sampled_from([1e-12, 1e-6, 0.1]))
+    companion = draw(st.sampled_from(["self", "tail", "scaled"]))
+    if companion == "self":
+        w = v
+    elif companion == "tail":
+        w = np.abs(v[n - 1] - v[::-1])
+    else:
+        w = v * rng.uniform(0.9, 1.1)
+    most = largest_margin(n, relative_rows(v, w, n), 1)
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, "below", "most", "above"]))
+    if isinstance(tol, str):
+        tol = {"below": np.nextafter(most, -np.inf), "most": most}.get(
+            tol, np.nextafter(most, np.inf)
+        )
+    return v, w, n, max(float(tol), 0.0)
+
+
+class TestWindowCertificate:
+    """`_relative_violation` certifies a pass in O(N) when it can
+    (`error_envelopes._window_pass`); its answer must be the row scan's."""
+
+    @given(window_case())
+    @settings(max_examples=500, deadline=None)
+    def test_verdict_and_witness_equal_the_scan(self, case):
+        v, w, n, tol = case
+        assert error_envelopes._relative_violation(v, w, n, tol) == scan_relative(
+            v, w, n, tol
+        )
+
+    def test_fires_on_smooth_passes(self):
+        # at tol = 1e-9 every pass of a linear or convex power table against
+        # itself or its last-window steps (some scaled up by 1e-6) is
+        # certified, and no failure is; at tol = 0 the rounding allowance
+        # declines every case
+        rng = np.random.default_rng(1301)
+        fired = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 40))
+            p = float(rng.choice([1.0, 1.5, 2.0]))
+            v = power_error(PowerErrorSpec(1.0, p), 1.0 / (n - 1), n).values
+            w = v[n - 1] - v[::-1] if rng.random() < 0.5 else v
+            if rng.random() < 0.3:
+                w = w * (1.0 + 1e-6 * rng.random(n))
+            passed = scan_relative(v, w, n, 1e-9) is None
+            assert error_envelopes._window_pass(v, w, n, 1e-9) == passed
+            assert not error_envelopes._window_pass(v, w, n, 0.0)
+            fired += passed
+        assert fired > 50
+
+    @pytest.mark.parametrize(
+        "v, w",
+        [
+            (
+                [0.0, 0.0464203518496914, 0.48940102706487465, 0.7773292489364044],
+                [0.0, 0.05395505817304521, 0.568838016797775, 0.9035012268277769],
+            ),
+            (
+                [0.5414199935690467, 0.9553850219503234, 0.21852604095151473,
+                 0.954082910311713, 0.6568961004478138],
+                [0.6619546469939541, 0.02110417168568446, 0.8075948195928792,
+                 0.9166701504875178, 0.9502183244901853],
+            ),
+        ],
+    )
+    def test_largest_margin_above_the_float_excess(self, v, w):
+        # found by a random search: the largest float margin rounds one ulp
+        # above the certificate's float excess, so one ulp below it the
+        # scan fails and only the rounding allowance declines the pass
+        v, w = np.array(v), np.array(w)
+        n = len(v)
+        most = largest_margin(n, relative_rows(v, w, n), 1)
+        tol = float(np.nextafter(most, -np.inf))
+        want = scan_relative(v, w, n, tol)
+        assert want is not None
+        assert not error_envelopes._window_pass(v, w, n, tol)
+        assert error_envelopes._relative_violation(v, w, n, tol) == want
+
+    def test_overflow_declines_without_warnings(self):
+        # D = [inf, -1.7e308]: U - D sums to NaN, and the scan's margin
+        # v[2] - v[1] overflows; on the valid table the scale overflows, and
+        # the scan passes it
+        v = np.array([0.0, -1.7e308, 1.7e308, 0.0])
+        table = ErrorFn(1.0, [0.0, 1.7e308, 0.0, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not error_envelopes._window_pass(v, v, 4, 1e-9)
+            with pytest.raises(OverflowError, match="overflows the double range"):
+                error_envelopes._relative_violation(v, v, 4, 1e-9)
+            assert not error_envelopes._window_pass(table.values, table.values, 4, 0.0)
+            assert is_subadditive(table, 0.0) == (True, None)
+
+    def test_benchmark_passes_scan_no_pair(self, monkeypatch):
+        # the monotone bracket's psi hypotheses on the three convex tables
+        # and the subadditivity of the linear one; the failing checks of
+        # p = 1.5 and p = 2 still scan and keep the row loop's witnesses
+        scans = []
+        kernel = scan._max_violation
+        monkeypatch.setattr(
+            scan, "_max_violation", lambda *a: scans.append(1) or kernel(*a)
+        )
+        n = 5000
+        step = 1.0 / (n - 1)
+        rng = np.random.default_rng(1303)
+        grid = Grid(0.0, step, n)
+        walk = SampledFn(grid, np.cumsum(rng.normal(size=n)) / np.sqrt(n))
+        for eps, p in ((1.0, 1.0), (1.0, 1.5), (2.0, 2.0)):
+            phi = power_error(PowerErrorSpec(eps, p), step, n)
+            psi = ErrorFn(step, phi.values[-1] - phi.values[::-1])
+            monotone_bracket(monotone_lower_envelope(walk, phi), phi, psi)
+            assert scans == [], p
+            ok, w = is_subadditive(phi)
+            if p == 1.0:
+                assert ok and scans == []
+            else:
+                assert not ok and scans == [1]
+                scans.clear()
+                assert w.indices == scan_relative(phi.values, phi.values, n, 1e-9)
 
 
 class TestSubadditiveEnvelope:

@@ -227,6 +227,15 @@ class TestJordanDecompose:
         assert pair.g.grid.origin == 1.0
         assert np.array_equal(pair.g.values - pair.h.values, f.values[1:])
 
+    def test_table_longer_than_grid(self):
+        # offsets past the last node never enter: doubling the whole table
+        # would overflow on its last row
+        f = sfn([0.0, 1.0, 0.5])
+        long_pair = jordan_decompose(f, efn([0.0, 1.0, 1.0, 1e308]))
+        pair = jordan_decompose(f, efn([0.0, 1.0, 1.0]))
+        assert list(long_pair.g.values) == list(pair.g.values) == [0.0, 0.0, -0.5]
+        assert list(long_pair.h.values) == list(pair.h.values)
+
     def test_anchor_at_last_node_rejected(self):
         f = sfn([0.0, 1.0])
         with pytest.raises(ValueError):
