@@ -362,9 +362,7 @@ def run(argv: Sequence[str]) -> tuple[int, RunReport | None]:
     except PreconditionError as exc:
         print(f"approxmono: precondition failed: {exc}", file=sys.stderr)
         return 1, report
-    except (  # the package's own errors all subclass ValueError
-        ValueError, OverflowError, FileNotFoundError, IsADirectoryError, PermissionError
-    ) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # ours subclass ValueError
         print(f"approxmono: error: {exc}", file=sys.stderr)
         return 1, report
 

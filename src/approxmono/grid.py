@@ -117,6 +117,8 @@ class Grid:
         object.__setattr__(self, "count", int(self.count))
         object.__setattr__(self, "origin", float(self.origin))
         object.__setattr__(self, "step", float(self.step))
+        if not math.isfinite(self.node(self.count - 1)):  # inf if the length is
+            raise GridError("grid span or last node overflows the double range")
 
     def node(self, i: int) -> float:
         return self.origin + i * self.step
@@ -261,24 +263,21 @@ def _certified_pass(excess: float, n: int, scale: float, tol: float) -> bool:
 
 
 @np.errstate(over="ignore")  # an overflowing step fails the certificate
-def _star_pass(v: np.ndarray, table: np.ndarray, tol: float, holder: bool) -> bool:
-    """Certified pass, in O(N), of the monotone check (or, with ``holder``,
-    the Hölder check) of v against a table with ``table[k] >= k * table[1]``.
+def _star_pass(v: np.ndarray, table: np.ndarray, tol: float) -> bool:
+    """Certified pass, in O(N), of the monotone check of v against a table
+    with ``table[k] >= k * table[1]``.
 
-    With c = table[1] and ``d_m = v[m] - v[m+1]`` (``|d_m|`` for Hölder),
-    the exact margin of a pair i < j = i + k is at most the sum of
-    ``d_m - c`` over its k unit steps plus ``k*c - table[k]``; the star
-    test bounds the latter by rounding.  So every margin is at most
-    ``sum of max(d_m - c, 0)``, which goes to `_certified_pass` with
-    scale ``max |v| + max table``.  False when the table fails the test.
+    With c = table[1] and ``d_m = v[m] - v[m+1]``, the exact margin of a
+    pair i < j = i + k is at most the sum of ``d_m - c`` over its k unit
+    steps plus ``k*c - table[k]``; the star test bounds the latter by
+    rounding.  So every margin is at most ``sum of max(d_m - c, 0)``, which
+    goes to `_certified_pass` with scale ``max |v| + max table``.  False
+    when the table fails the test.
     """
     if not _star_shaped(table):
         return False
     d = np.diff(v)
-    if holder:
-        np.abs(d, out=d)
-    else:
-        np.negative(d, out=d)
+    np.negative(d, out=d)
     d -= table[1]
     np.maximum(d, 0.0, out=d)
     scale = _magnitude(v) + float(table.max())
@@ -299,7 +298,7 @@ def is_phi_monotone(
     check_tolerance(tol)
     table = offsets_table(f, phi)
     v = f.values
-    if _star_pass(v, table, tol, holder=False):
+    if _star_pass(v, table, tol):
         return True, None
     best = _diagonal_violation(v, v, table, tol)
     if best is None:
@@ -314,19 +313,29 @@ def is_phi_holder(
 ) -> tuple[bool, Witness | None]:
     """Check |f[i] - f[j]| <= phi[|i-j|] + tol for all node pairs.
 
-    Equivalent to both f and -f passing `is_phi_monotone`; scanned in one
-    ``|f[i] - f[j]|`` pass rather than two monotone ones, after the same
-    O(N) certificate.
+    f is phi-Hölder when f and -f are both phi-monotone, so this is the
+    monotone check run on f and on -f.  Negation is exact, so at each pair
+    the larger of the two float margins is ``|f[i] - f[j]| - phi[|i-j|]``.
+    The witness is the pair with the largest violation on either side (the
+    smaller ``(j - i, i)`` on a tie), with ``lhs = |f[i] - f[j]|``.
     """
     check_tolerance(tol)
     table = offsets_table(f, phi)
+    found = []
+    for v in (f.values, 0.0 - f.values):
+        if _star_pass(v, table, tol):
+            continue
+        best = _diagonal_violation(v, v, table, tol)
+        if best is not None:
+            k, i = best
+            margin = float((v[i] - v[i + k]) - table[k])
+            found.append((-margin, k, i))
+            # the other side changes the witness only if it reaches this margin
+            tol = math.nextafter(margin, -math.inf)
+    if not found:
+        return True, None
+    _, k, i = min(found)
     v = f.values
-    if _star_pass(v, table, tol, holder=True):
-        return True, None
-    best = _diagonal_violation(v, v, table, tol, holder=True)
-    if best is None:
-        return True, None
-    k, i = best
     lhs, rhs = float(abs(v[i] - v[i + k])), float(table[k])
     return False, Witness(WitnessKind.HOLDER, (i, i + k), lhs, rhs)
 

@@ -113,29 +113,21 @@ def _max_violation(
 
 
 def _diagonal_violation(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float, holder: bool = False
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float
 ) -> tuple[int, int] | None:
     """``(k, i)`` of the largest margin above tol of ``(a[i] - b[i+k]) - c[k]``
-    over ``0 <= k`` and ``i + k < len(a)``, or with ``holder`` of
-    ``|a[i] - b[i+k]| - c[k]``; see `_max_violation`."""
+    over ``0 <= k`` and ``i + k < len(a)``; see `_max_violation`."""
     n = len(a)
 
     def margins(k, lo, hi):
-        d = a[lo:hi] - b[lo + k : hi + k]
-        return (np.abs(d) if holder else d) - c[k]
+        return (a[lo:hi] - b[lo + k : hi + k]) - c[k]
 
     def bounds(side):
         nb = -(-n // side)
         a_max = _blocks(a, side, nb, np.maximum)
         b_min = _block_pairs(b, side, 2 * nb - 1, np.minimum)
         c_min = _blocks(c[:n], side, nb, np.minimum)
-        if not holder:
-            return lambda t: (a_max - b_min[t : t + nb]) - c_min[t]
-        a_min = _blocks(a, side, nb, np.minimum)
-        b_max = _block_pairs(b, side, 2 * nb - 1, np.maximum)
-        return lambda t: (
-            np.maximum(a_max - b_min[t : t + nb], b_max[t : t + nb] - a_min) - c_min[t]
-        )
+        return lambda t: (a_max - b_min[t : t + nb]) - c_min[t]
 
     return _max_violation(n, n, margins, bounds, tol)
 

@@ -408,6 +408,22 @@ class TestOperationalErrors:
         )
         assert status == 1
 
+    @pytest.mark.parametrize("flag", ["--input", "--output"])
+    def test_path_through_a_file(self, holder_csv, flag, capsys):
+        # NotADirectoryError: a regular file used as a directory
+        paths = {"--input": str(holder_csv), flag: str(holder_csv / "x.json")}
+        argv = ["check", "--error", "const:1"]
+        status, report = run(argv + [x for kv in paths.items() for x in kv])
+        assert status == 1 and report is not None
+        assert capsys.readouterr().err.startswith("approxmono: error: ")
+
+    def test_file_name_too_long(self, holder_csv, capsys):
+        # OSError (ENAMETOOLONG) from a 300-character file: table path
+        spec = "file:" + "x" * 300 + ".csv"
+        status, report = run(["check", "--input", str(holder_csv), "--error", spec])
+        assert status == 1 and report is not None
+        assert capsys.readouterr().err.startswith("approxmono: error: ")
+
     def test_malformed_csv(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("t,value\n0,1\noops\n")

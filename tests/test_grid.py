@@ -61,11 +61,26 @@ class TestGridConstruction:
 
     @pytest.mark.parametrize(
         "origin,step,count",
-        [(0.0, 0.0, 5), (0.0, -1.0, 3), (0.0, 1.0, 1), (float("nan"), 1.0, 3)],
+        [
+            (0.0, 0.0, 5),
+            (0.0, -1.0, 3),
+            (0.0, 1.0, 1),
+            (float("nan"), 1.0, 3),
+            # nodes past the double range
+            (-1e308, 1e308, 3),  # nodes() would end in inf
+            (1e308, 1e308, 3),  # length would be inf
+            (0.0, 1e308, 3),  # its window(1, 3) would end in inf
+            (1e308, 1e308, 2),  # finite length, last node inf
+        ],
     )
     def test_rejects_bad_parameters(self, origin, step, count):
         with pytest.raises(GridError):
             Grid(origin, step, count)
+
+    def test_accepts_nodes_up_to_the_double_range(self):
+        f = SampledFn(Grid(-1e308, 5e307, 3), [0.0, 1.0, 2.0])
+        assert list(f.grid.nodes()) == [-1e308, -5e307, 0.0]
+        assert list(f.window(1, 3).grid.nodes()) == [-5e307, 0.0]
 
     def test_sampled_fn_rejects_nan(self):
         g = Grid(0.0, 1.0, 3)
@@ -221,7 +236,8 @@ def steep_ramp(rng, n: int):
 
 
 def float_excess(v, table, holder: bool) -> float:
-    """The excess the certificate computes: sum of max(d_m - table[1], 0)."""
+    """The excess the certificate computes: sum of max(d_m - table[1], 0);
+    for Hölder, with |d_m|, a bound on the excess of both f and -f."""
     d = np.diff(v)
     d = np.abs(d) if holder else -d
     return float(np.maximum(d - table[1], 0.0).sum())

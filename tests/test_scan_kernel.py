@@ -32,6 +32,7 @@ from approxmono import (
 from approxmono import scan
 from helpers import (
     check_rows,
+    largest_check_margin,
     largest_margin,
     loop_max_violation,
     relative_rows,
@@ -312,3 +313,79 @@ class TestPrunedWork:
         psi = ErrorFn(step, np.full(n, phi.values.max()))
         holder_bracket(SampledFn(Grid(0.0, step, n), np.zeros(n)), phi, psi)
         assert evaluated and sum(evaluated) == 0
+
+    def test_holder_check_second_side_evaluates_fewer_pairs(self, evaluated):
+        # f fails first; -f then runs with f's largest margin as its
+        # tolerance, and evaluates fewer pairs than it does on its own
+        n = 5000
+        step = 1.0 / (n - 1)
+        rng = np.random.default_rng(1002)
+        path = np.cumsum(rng.normal(size=n)) / math.sqrt(n)
+        walk = SampledFn(Grid(0.0, step, n), path)
+        phi = power_error(PowerErrorSpec(1.0, 1.5), step, n)
+        ok, w = is_phi_holder(walk, phi)
+        assert not ok
+        assert (ok, w.indices) == scan_check(walk.values, phi.values, 1e-9, True)
+        assert not is_phi_monotone(-walk, phi)[0]
+        assert len(evaluated) == 3
+        assert evaluated[1] < evaluated[0] and evaluated[1] < evaluated[2]
+
+
+@st.composite
+def two_sided_ties(draw):
+    """(v, table): dyadic values from a five-point pool with the pool's
+    extremes planted as hi, lo, hi, against a table constant past offset 0,
+    so f and -f both reach the largest margin, at different pairs."""
+    n = draw(st.sampled_from([3, 4, 5, 31, 33, 65, 97]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], n)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    v[np.sort(rng.choice(n, 3, replace=False))] = sign * np.array([1.0, -1.0, 1.0])
+    table = np.full(n, draw(st.sampled_from([0.0, 0.25, 1.0, 1.75])))
+    table[0] = draw(st.sampled_from([0.0, 0.5]))
+    return v, table
+
+
+class TestHolderIsTwoMonotoneChecks:
+    """`is_phi_holder` runs the monotone check on f and on -f; the verdict,
+    witness and OverflowError must be the one |f[i] - f[j]| scan's."""
+
+    @given(two_sided_ties(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_first_pair_wins_a_tie_between_sides(self, case, data):
+        v, table = case
+        up = largest_margin(len(v), check_rows(v, table))
+        down = largest_margin(len(v), check_rows(-v, table))
+        assert up == down == largest_check_margin(v, table, holder=True)
+        tol = data.draw(tolerance(up))
+        ok, w = is_phi_holder(sfn(v), efn(table), tol)
+        want_ok, pair = scan_check(v, table, tol, holder=True)
+        assert ok == want_ok and (w is None) == ok
+        if not ok:
+            i, j = pair
+            assert w.indices == pair
+            assert bits(w.lhs, w.rhs) == bits(abs(v[i] - v[j]), table[j - i])
+
+    @pytest.mark.parametrize(
+        "values,pair",
+        [
+            ([1.0, -1.0, 0.0, 1.0], (0, 1)),
+            ([-1.0, 1.0, 0.0, -1.0], (0, 1)),
+        ],
+    )
+    def test_either_side_may_hold_the_first_pair(self, values, pair):
+        # the largest margin is 2 on both sides; the first pair of the
+        # one |f[i] - f[j]| scan wins, whichever side holds it
+        v, table = np.array(values), np.zeros(4)
+        ok, w = is_phi_holder(sfn(v), efn(table))
+        assert (ok, w.indices) == (False, pair) == scan_check(v, table, 0.0, True)
+
+    @pytest.mark.parametrize(
+        "values", [[-1e308, 1e308], [-1e308, 1e308, 0.0]], ids=["f passes", "f fails"]
+    )
+    def test_overflow_on_the_negated_side_only(self, values):
+        f, phi = sfn(values), efn(np.zeros(len(values)))
+        assert outcome(lambda: is_phi_monotone(f, phi)) is not OverflowError
+        assert outcome(lambda: is_phi_monotone(-f, phi)) is OverflowError
+        with pytest.raises(OverflowError, match="overflows the double range"):
+            is_phi_holder(f, phi)
