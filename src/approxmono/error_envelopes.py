@@ -183,19 +183,34 @@ def subadditive_envelope(phi: ErrorFn) -> ErrorFn:
 
 
 @np.errstate(over="ignore")  # an inf candidate never undercuts a label
-def _label_setting(labels: np.ndarray, row: Callable[[int], np.ndarray]):
+def _label_setting(labels: np.ndarray, row: Callable[[int], np.ndarray], cmin: float):
     """Shortest paths over N nodes from starting labels, by dense label setting.
 
-    ``row(u)[v] >= 0`` is the cost of the edge u -> v.  Each round settles the
-    open node with the least label (first index on ties) and relaxes every
-    node through it.  Returns the labels and, per node, the root whose
-    starting label its path leaves from.
+    ``row(u)[v] >= 0`` is the cost of the edge u -> v, and ``cmin`` is at
+    most every cost with v != u.  Each round settles the open node with the
+    least label (first index on ties) and relaxes every node through it.
+    Returns the labels and, per node, the root whose starting label its path
+    leaves from.
+
+    The rounds stop before settling u once ``max(lab) <= fl(L + cmin)``, L
+    the least open label, with the bits of the full N rounds.  Every open
+    label is at least L, and a candidate ``fl(L' + c)`` with c >= 0 is at
+    least L', so every later source has a label of at least L.  Rounding is
+    monotone, so a later candidate for another node is at least
+    ``fl(L + cmin)``, hence at least that node's label; a self-edge gives at
+    least the source's own label.  No later candidate is strictly smaller,
+    and only a strictly smaller one changes a label or a root.  When L is
+    inf, every open label is inf and the test holds, as it should.  Labels
+    only fall, so ``max(lab)`` is taken again only after a round lowers one.
     """
     lab = np.array(labels, dtype=float)
     root = np.arange(len(lab))
     open_lab = lab.copy()  # settled nodes read +inf
+    top = lab.max()
     for _ in range(len(lab)):
         u = int(np.argmin(open_lab))
+        if top <= open_lab[u] + cmin:
+            break
         open_lab[u] = np.inf
         cand = lab[u] + row(u)
         better = cand < lab
@@ -203,6 +218,7 @@ def _label_setting(labels: np.ndarray, row: Callable[[int], np.ndarray]):
             np.copyto(lab, cand, where=better)
             np.copyto(open_lab, cand, where=better)
             np.copyto(root, root[u], where=better)
+            top = lab.max()
     return lab, root
 
 
@@ -227,8 +243,11 @@ def absolutely_subadditive_envelope(phi: ErrorFn) -> ErrorFn:
     # while u+w stays on the table: sym[m+k] is v[|k|], or inf for k > m
     sym = np.concatenate([v[:0:-1], v, np.full(m, np.inf)])
     start = np.concatenate([[0.0], np.full(m, np.inf)])
+    # a step u -> w != u pays v at an offset |w-u| or u+w, both nonzero
     out, _ = _label_setting(
-        start, lambda u: np.minimum(sym[m - u : m - u + n], sym[m + u : m + u + n])
+        start,
+        lambda u: np.minimum(sym[m - u : m - u + n], sym[m + u : m + u + n]),
+        float(v[1:].min()),
     )
     # offset 0 needs at least one part: either the literal 0-offset entry or
     # a closing step back from a reachable node

@@ -5,9 +5,12 @@ subadditive (or absolutely subadditive) envelope, which keeps membership and
 makes them idempotent on grids.  All of them run one min-plus row kernel,
 ``min over j >= max(i + start, 0) of f[j] + table[|j-i|]`` (`_forward_min`;
 start 0 for the envelopes, 1 for the monotone bracket, 1 - N for the Hölder
-bracket), the max sides through its reflection.  The Hölder envelopes and
-sandwich use ``min over j of f[j] + d(j, i)``, with d(j, i) the cheapest path
-from node j to node i through grid nodes, paying ``phi[|u-v|]`` per step u -> v.
+bracket), the max sides through its reflection; a row whose nearest
+candidate no other candidate can undercut is settled without its loop.  The
+Hölder envelopes and sandwich use ``min over j of f[j] + d(j, i)``, with
+d(j, i) the cheapest path from node j to node i through grid nodes, paying
+``phi[|u-v|]`` per step u -> v, by label setting that stops once no label
+can be undercut.
 The brackets check their table hypotheses with the subadditivity scans of
 `error_envelopes`, the companion table psi on the right; no table is scanned here.
 """
@@ -72,8 +75,9 @@ def _forward_min(v: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
     Start 0 gives the monotone envelopes, start 1 the strict bracket halves,
     start ``1 - N`` (every j) the Hölder bracket.  Rows whose range is empty
     (the last ``start``, for start > 0) keep ``v[i]``.  For start 0 and 1 a
-    linear table takes the O(N) `_forward_linear`, everything else the loop;
-    both give the same bits.  A result past the double range raises
+    linear table takes the O(N) `_forward_linear`, everything else
+    `_forward_min_loop`, which runs only the rows that `_settled_rows` leaves
+    open; all give the loop's bits.  A result past the double range raises
     OverflowError.
     """
     out = _forward_linear(v, table, start) if start in (0, 1) else None
@@ -82,13 +86,41 @@ def _forward_min(v: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # an inf sum never undercuts a finite one
+def _settled_rows(v: np.ndarray, table: np.ndarray, start: int):
+    """``(near, settled)`` for the rows i = 0..N-1-s0 of `_forward_min`, with
+    ``s0 = max(start, 0)``: ``near[i] = fl(v[i+s0] + table[s0])`` is the row's
+    nearest candidate, and where ``settled[i]`` it is the row's minimum.
+
+    Every other j in row i's range has offset ``|j-i| > s0``, so its sum is
+    at least ``M[i] + min(table[s0+1:N])`` exactly, where M[i] is the least
+    v[j] over j > i + s0 (and, for start < 0, also over j < i: a superset of
+    the row's range).  Rounding is monotone, so the rounded sum is at least
+    ``fl(M[i] + min(table[s0+1:N]))``.  When ``near`` is strictly below that,
+    it is the unique least element of the row, with the bits of the loop's
+    own sum; strict, so a tie of +0.0 and -0.0 never settles.
+    """
+    n = len(v)
+    s0 = max(start, 0)
+    near = v[s0:] + table[s0]
+    bound = np.full(n - s0, np.inf)
+    np.minimum.accumulate(v[:s0:-1], out=bound[-2::-1])
+    if start < 0:
+        np.minimum(bound[1:], np.minimum.accumulate(v[:-1]), out=bound[1:])
+    bound += table[s0 + 1 : n].min(initial=np.inf)
+    return near, near < bound
+
+
+@np.errstate(over="ignore")  # an inf sum never undercuts a finite one
 def _forward_min_loop(v: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
-    """`_forward_min` one row at a time, in O(N^2); row i of ``table[|j-i|]``
-    is one slice of the mirrored table ``sym[n-1+k] = table[|k|]``."""
+    """`_forward_min` in O(N^2): the rows that `_settled_rows` decides take
+    their nearest candidate, every other row i is one slice of the mirrored
+    table ``sym[n-1+k] = table[|k|]``, minimized."""
     n = len(v)
     sym = np.concatenate([table[n - 1 : 0 : -1], table[:n]])
     out = v.copy()
-    for i in range(n - max(start, 0)):
+    near, settled = _settled_rows(v, table, start)
+    np.copyto(out[: len(near)], near, where=settled)
+    for i in map(int, np.flatnonzero(~settled)):
         j = i + start if i + start > 0 else 0  # cheaper than max() per row
         out[i] = (v[j:] + sym[n - 1 + j - i : 2 * n - 1 - i]).min()
     return out
@@ -170,7 +202,8 @@ def _grid_lower(v: np.ndarray, f: SampledFn, phi: ErrorFn):
     t = offsets_table(f, phi)
     n = len(t)
     sym = np.concatenate([t[:0:-1], t])
-    return _label_setting(v, lambda u: sym[n - 1 - u : 2 * n - 1 - u])
+    cmin = float(t[1:].min())
+    return _label_setting(v, lambda u: sym[n - 1 - u : 2 * n - 1 - u], cmin)
 
 
 def _neg(x: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from approxmono import error_envelopes, function_envelopes
 from approxmono import (
     ErrorFn,
     Grid,
@@ -233,6 +234,74 @@ def heap_alpha(values) -> np.ndarray:
                 heapq.heappush(heap, (float(cand[v]), v))
     dist[0] = min(float(costs[0]), float((dist[1:] + costs[1:]).min()))
     return dist
+
+
+@np.errstate(over="ignore")
+def dense_label_setting(labels, row):
+    """``(labels, roots)`` after all N rounds of dense label setting: settle
+    the open node with the least label (first index on ties), relax every
+    node through ``row(u)``, and move a label and its root only on a strict
+    improvement.  The loop `error_envelopes._label_setting` exits early from."""
+    lab = np.array(labels, dtype=float)
+    root = np.arange(len(lab))
+    open_lab = lab.copy()
+    for _ in range(len(lab)):
+        u = int(np.argmin(open_lab))
+        open_lab[u] = np.inf
+        cand = lab[u] + row(u)
+        better = cand < lab
+        lab[better] = cand[better]
+        open_lab[better] = cand[better]
+        root[better] = root[u]
+    return lab, root
+
+
+@np.errstate(over="ignore")
+def loop_forward_min(v, table, start: int) -> np.ndarray:
+    """``min over j >= max(i + start, 0) of v[j] + table[|j-i|]``, every row
+    by the loop; rows with an empty range keep v[i]."""
+    n = len(v)
+    out = np.array(v, dtype=float)
+    for i in range(n - max(start, 0)):
+        j = np.arange(max(i + start, 0), n)
+        out[i] = (v[j] + table[np.abs(j - i)]).min()
+    return out
+
+
+def count_label_rounds(monkeypatch) -> list[int]:
+    """Wrap the label-setting kernel where α and the Hölder envelopes call
+    it; each call appends the number of rounds it ran, counted through its
+    row callback."""
+    kernel = error_envelopes._label_setting
+    rounds: list[int] = []
+
+    def counting(labels, row, cmin):
+        rounds.append(0)
+
+        def counted(u):
+            rounds[-1] += 1
+            return row(u)
+
+        return kernel(labels, counted, cmin)
+
+    monkeypatch.setattr(error_envelopes, "_label_setting", counting)
+    monkeypatch.setattr(function_envelopes, "_label_setting", counting)
+    return rounds
+
+
+def record_settled_rows(monkeypatch) -> list[np.ndarray]:
+    """Wrap the row loop's settle test; each loop call appends its mask of
+    settled rows, so the rows it ran are the False entries."""
+    test = function_envelopes._settled_rows
+    masks: list[np.ndarray] = []
+
+    def recording(v, table, start):
+        near, settled = test(v, table, start)
+        masks.append(settled)
+        return near, settled
+
+    monkeypatch.setattr(function_envelopes, "_settled_rows", recording)
+    return masks
 
 
 def brute_grid_distances(table, n: int) -> np.ndarray:

@@ -45,11 +45,13 @@ from helpers import (
     brute_grid_holder_lower,
     brute_sigma,
     brute_variation,
+    count_label_rounds,
     dyadic,
     mono_member,
     rand_concave_increasing_error,
     rand_error,
     rand_fn,
+    record_settled_rows,
 )
 
 
@@ -357,17 +359,31 @@ def test_c13_performance(monkeypatch):
     sigma = timed("sigma envelope", lambda: subadditive_envelope(phi))
     timed("monotone check", lambda: is_phi_monotone(f, phi, 1e-9))
     timed("holder check", lambda: is_phi_holder(f, phi, 1e-9))
+    # the row loop settles a row only when its own node cannot be undercut;
+    # on this rough table that is rare, so both budgets time the loop
+    masks = record_settled_rows(monkeypatch)
     timed("lower envelope", lambda: monotone_lower_envelope(f, phi))
     timed("upper envelope", lambda: monotone_upper_envelope(f, phi))
+    assert len(masks) == 2 and all(m.sum() < n // 10 for m in masks)
     timed("variation table", lambda: total_phi_variation(f, phi))
     del sigma
 
+    # label setting stops once no label can be undercut: the rough table
+    # exits early, the concave sqrt table (least step phi[1] = 1) runs at
+    # least 90% of its rounds, so its budget still times the dense kernel
+    rounds = count_label_rounds(monkeypatch)
     m = 512
     lattice_phi = ErrorFn(1.0, np.abs(rng.normal(size=m)) + 0.01)
     timed(
         "lattice search",
         lambda: absolutely_subadditive_envelope(lattice_phi),
     )
+    concave_phi = power_error(PowerErrorSpec(1.0, 0.5), 1.0, m)
+    timed(
+        "concave lattice search",
+        lambda: absolutely_subadditive_envelope(concave_phi),
+    )
+    assert len(rounds) == 2 and rounds[0] < m and rounds[1] >= 0.9 * m
 
     scans = []
     kernel = scan._max_violation

@@ -2,10 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from approxmono import error_envelopes, scan
+from approxmono import error_envelopes, function_envelopes, scan
 from approxmono import (
     ErrorFn,
     Grid,
@@ -15,6 +15,7 @@ from approxmono import (
     WitnessKind,
     absolutely_subadditive_envelope,
     holder_bracket,
+    holder_lower_envelope,
     is_absolutely_subadditive,
     is_phi_holder,
     is_phi_monotone,
@@ -31,6 +32,8 @@ from helpers import (
     brute_relative_margin,
     brute_sigma,
     brute_signed_margin,
+    count_label_rounds,
+    dense_label_setting,
     dyadic,
     heap_alpha,
     largest_margin,
@@ -554,6 +557,119 @@ class TestAbsolutelySubadditiveEnvelope:
             assert np.all(
                 minorant.values <= absolutely_subadditive_envelope(phi).values
             )
+
+
+@st.composite
+def label_case(draw):
+    """(labels, table) for label setting.  Kinds: tie-heavy quarter-integer
+    values with zero costs; ±0.0 labels and costs, -0.0 at offset 0 and in
+    half the cases every cost 0 (cmin = 0); values near the double range,
+    whose sums overflow; and α's start, 0 then +inf."""
+    kind = draw(st.sampled_from(["ties", "zeros", "huge", "alpha"]))
+    n = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zeros":
+        labels = rng.choice([0.0, -0.0, 0.5, -0.5], n)
+        table = rng.choice([0.0, -0.0] if draw(st.booleans()) else [0.0, -0.0, 0.5], n)
+        table[0] = -0.0
+    elif kind == "huge":
+        labels = 1.7e308 * rng.uniform(-1, 1, n)
+        table = 1.7e308 * rng.uniform(0, 1, n)
+    else:
+        labels = rng.integers(-4, 5, n) * 0.25
+        table = rng.integers(0, 4, n) * 0.25
+    if kind == "alpha":
+        labels = np.concatenate([[0.0], np.full(n - 1, np.inf)])
+    return labels, table
+
+
+def grid_rows(table):
+    """The rows of `_grid_lower`: cost ``table[|w-u|]`` from u to w."""
+    n = len(table)
+    sym = np.concatenate([table[:0:-1], table])
+    return (lambda u: sym[n - 1 - u : 2 * n - 1 - u]), float(table[1:].min())
+
+
+def folded_rows(table):
+    """The rows of `absolutely_subadditive_envelope`: cost
+    ``min(table[|w-u|], table[u+w])``, inf once u + w leaves the table."""
+    n = len(table)
+    sym = np.concatenate([table[:0:-1], table, np.full(n - 1, np.inf)])
+    m = n - 1
+    return (
+        lambda u: np.minimum(sym[m - u : m - u + n], sym[m + u : m + u + n])
+    ), float(table[1:].min())
+
+
+class TestLabelSettingExit:
+    """`_label_setting` stops once no label can be undercut; its labels and
+    roots must stay those of all N dense rounds."""
+
+    @given(label_case(), st.sampled_from([grid_rows, folded_rows]))
+    @settings(max_examples=400, deadline=None)
+    def test_bit_equal_to_dense_rounds(self, case, rows):
+        labels, table = case
+        row, cmin = rows(table)
+        lab, root = error_envelopes._label_setting(labels, row, cmin)
+        want_lab, want_root = dense_label_setting(labels, row)
+        assert same_bits(lab, want_lab)
+        assert np.array_equal(root, want_root)
+
+    @given(label_case(), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_envelope_with_a_longer_table(self, case, extra):
+        # offsets past the grid are cut off before the kernel sees them
+        labels, table = case
+        assume(np.isfinite(labels).all())
+        if table[0] != 0.0:  # the envelope needs a zero there; keep a -0.0
+            table[0] = 0.0
+        longer = np.concatenate([table, np.zeros(extra)])
+        f = SampledFn(Grid(0.0, 1.0, len(labels)), labels)
+        lab, root = function_envelopes._grid_lower(labels, f, ErrorFn(1.0, longer))
+        want_lab, want_root = dense_label_setting(labels, grid_rows(table)[0])
+        assert same_bits(lab, want_lab)
+        assert np.array_equal(root, want_root)
+
+    def test_exit_waits_for_one_step(self):
+        # node 1 at 1.5 is undercut by 0 + 1 after the first round; an exit
+        # at L + 2 * cmin would stop before it
+        row, cmin = grid_rows(np.array([0.0, 1.0]))
+        lab, root = error_envelopes._label_setting(np.array([0.0, 1.5]), row, cmin)
+        assert list(lab) == [0.0, 1.0] and list(root) == [0, 0]
+
+    def test_rough_tables_and_windows_exit_early(self, monkeypatch):
+        rounds = count_label_rounds(monkeypatch)
+        rng = np.random.default_rng(2000)
+        n = 2000
+        step = 1.0 / (n - 1)
+        phi = ErrorFn(step, np.concatenate([[0.0], rng.uniform(0.2, 1.0, n - 1)]))
+        walk = SampledFn(Grid(0.0, step, n), np.cumsum(rng.normal(0, n**-0.5, n)))
+        absolutely_subadditive_envelope(phi)
+        holder_lower_envelope(walk, phi)
+        assert len(rounds) == 2 and max(rounds) < n // 4
+        # a window of a long signal, with the signal's table: steep offsets
+        # up to the window width, cheap ones past it
+        rounds.clear()
+        steep, cheap = rng.uniform(1, 2, 499), rng.uniform(0.05, 0.1, 700)
+        vals = np.concatenate([[0.0], steep, cheap])
+        signal = SampledFn(Grid(0.0, 1.0, 1200), np.cumsum(rng.normal(0, 0.1, 1200)))
+        win = signal.window(100, 600)
+        holder_lower_envelope(win, ErrorFn(1.0, vals))
+        absolutely_subadditive_envelope(ErrorFn(1.0, vals[:500]))
+        assert len(rounds) == 2 and max(rounds) < 500 // 4
+
+    def test_concave_table_runs_nearly_every_round(self, monkeypatch):
+        # phi[1] is the least step and far below the label spread, so the
+        # exit cannot fire early: the dense kernel still does this work
+        rounds = count_label_rounds(monkeypatch)
+        n = 2000
+        step = 1.0 / (n - 1)
+        phi = power_error(PowerErrorSpec(0.5, 0.5), step, n)
+        steps = np.random.default_rng(5).normal(0, n**-0.5, n)
+        walk = SampledFn(Grid(0.0, step, n), np.cumsum(steps))
+        absolutely_subadditive_envelope(phi)
+        holder_lower_envelope(walk, phi)
+        assert len(rounds) == 2 and min(rounds) >= n - 100
 
 
 class TestMembershipInvariance:

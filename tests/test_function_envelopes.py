@@ -38,6 +38,7 @@ from helpers import (
     dyadic,
     loop_holder_lower,
     loop_holder_upper,
+    loop_forward_min,
     loop_holder_upper_grid,
     loop_monotone_bracket,
     loop_monotone_upper,
@@ -45,6 +46,7 @@ from helpers import (
     rand_concave_increasing_error,
     rand_error,
     rand_fn,
+    record_settled_rows,
     scan_check,
     scan_sandwich,
 )
@@ -745,7 +747,7 @@ class TestLinearSigmaKernel:
     @settings(max_examples=400, deadline=None)
     def test_bit_equal_to_loop(self, case):
         kind, v, sigma, skip = case
-        want = _forward_min_loop(v, sigma, skip)
+        want = loop_forward_min(v, sigma, skip)
         assert same_bits(_forward_min(v, sigma, skip), want)
         fast = _forward_linear(v, sigma, skip)
         if kind == "negzero":
@@ -758,7 +760,7 @@ class TestLinearSigmaKernel:
         v = np.array([0.0, 1.0, -1.0, 2.0])
         sigma = np.array([0.0, 1.0, 1.5, 2.0])
         assert _forward_linear(v, sigma, 0) is None
-        assert same_bits(_forward_min(v, sigma, 0), _forward_min_loop(v, sigma, 0))
+        assert same_bits(_forward_min(v, sigma, 0), loop_forward_min(v, sigma, 0))
 
     @pytest.mark.parametrize(
         "v, c, sigma0",
@@ -773,7 +775,7 @@ class TestLinearSigmaKernel:
         sigma = np.arange(len(v)) * c
         sigma[0] = sigma0
         assert _forward_linear(v, sigma, 0) is None
-        assert same_bits(_forward_min(v, sigma, 0), _forward_min_loop(v, sigma, 0))
+        assert same_bits(_forward_min(v, sigma, 0), loop_forward_min(v, sigma, 0))
 
     @staticmethod
     def _count_loop_calls(monkeypatch):
@@ -797,7 +799,7 @@ class TestLinearSigmaKernel:
         hi = monotone_upper_envelope(f, phi)
         assert calls == []
         sigma = subadditive_envelope(phi).values
-        assert same_bits(lo.values, _forward_min_loop(f.values, sigma, 0))
+        assert same_bits(lo.values, loop_forward_min(f.values, sigma, 0))
         assert same_bits(hi.values, loop_monotone_upper(f.values, sigma))
 
     def test_exact_plateau_calls_the_loop(self, monkeypatch):
@@ -808,6 +810,76 @@ class TestLinearSigmaKernel:
         out = monotone_lower_envelope(f, phi)
         assert calls == [n]
         assert np.array_equal(out.values, f.values)
+
+
+@st.composite
+def row_case(draw):
+    """(v, table, start) for the row loop, start in {0, 1, -1, 1 - N}, the
+    table up to 3 offsets longer than the grid.  Kinds: tie-heavy
+    quarter-integer values with zero costs, ±0.0 values and costs with -0.0
+    at offset 0, values near the double range whose sums overflow, and
+    normal data."""
+    kind = draw(st.sampled_from(["ties", "zeros", "huge", "real"]))
+    n = draw(st.integers(2, 24))
+    size = n + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ties":
+        v, table = rng.integers(-4, 5, n) * 0.25, rng.integers(0, 4, size) * 0.25
+    elif kind == "zeros":
+        v = rng.choice([0.0, -0.0, 0.5, -0.5], n)
+        table = rng.choice([0.0, -0.0, 0.5], size)
+        table[0] = -0.0
+    elif kind == "huge":
+        v, table = 1.7e308 * rng.uniform(-1, 1, n), 1.7e308 * rng.uniform(0, 1, size)
+    else:
+        v, table = rng.normal(size=n), np.abs(rng.normal(size=size))
+    return v, table, draw(st.sampled_from([0, 1, -1, 1 - n]))
+
+
+class TestSettledRows:
+    """`_forward_min_loop` takes a row's nearest candidate when no other can
+    undercut it, and must keep the full loop's bits."""
+
+    @given(row_case())
+    @settings(max_examples=400, deadline=None)
+    def test_bit_equal_to_the_loop(self, case):
+        v, table, start = case
+        want = loop_forward_min(v, table, start)
+        assert same_bits(_forward_min_loop(v, table, start), want)
+
+    @pytest.mark.parametrize(
+        "v, table, start",
+        [
+            ([0.0, -0.5], [0.0, 0.25], 0),  # undercut at the next offset
+            ([0.0, 0.0, -1.0], [0.0, 0.5, 0.25], 1),  # the same past the strict start
+            ([-1.0, 0.0], [0.0, 0.25], -1),  # undercut from the left
+            ([0.0, -0.0], [0.0, -0.0], 0),  # +0.0 nearest, -0.0 next: a tie
+        ],
+    )
+    def test_nearest_candidate_undercut(self, v, table, start):
+        v, table = np.array(v), np.array(table)
+        near, settled = function_envelopes._settled_rows(v, table, start)
+        assert not settled[0 if start >= 0 else 1]
+        want = loop_forward_min(v, table, start)
+        assert same_bits(_forward_min_loop(v, table, start), want)
+
+    def test_flat_member_bracket_runs_no_loop_row(self, monkeypatch):
+        # the member's oscillation stays below the least off-diagonal cost,
+        # so every row's own node wins
+        masks = record_settled_rows(monkeypatch)
+        rng = np.random.default_rng(1000)
+        n = 1000
+        step = 1.0 / (n - 1)
+        phi = ErrorFn(step, np.concatenate([[0.0], rng.uniform(0.2, 1.0, n - 1)]))
+        lo = float(phi.values[1:].min())
+        t = np.linspace(0.0, 1.0, n)
+        wave = 0.45 * lo * np.sin(6 * np.pi * t) + 0.045 * lo * rng.uniform(-1, 1, n)
+        member = SampledFn(Grid(0.0, step, n), wave)
+        psi = ErrorFn(step, np.full(n, float(phi.values.max())))
+        pair = holder_bracket(member, phi, psi)
+        assert len(masks) == 2 and all(m.all() for m in masks)
+        alpha = absolutely_subadditive_envelope(phi).values
+        assert same_bits(pair.upper.values, loop_holder_lower(member.values, alpha))
 
 
 @st.composite
@@ -838,7 +910,7 @@ class TestSandwichCertificate:
         out, w = monotone_sandwich(g, h, phi, tol)
         assert (out is not None) == ok
         if ok:
-            assert same_bits(out.values, _forward_min_loop(h.values, sig, 0))
+            assert same_bits(out.values, loop_forward_min(h.values, sig, 0))
         else:
             assert w.indices == pair
 
