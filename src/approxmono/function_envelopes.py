@@ -3,14 +3,14 @@
 The monotone operators and the Hölder bracket replace the error table by its
 subadditive (or absolutely subadditive) envelope, which keeps membership and
 makes them idempotent on grids.  All of them run one min-plus row kernel,
-``min over j >= max(i + start, 0) of f[j] + table[|j-i|]`` (`_forward_min`;
-start 0 for the envelopes, 1 for the monotone bracket, 1 - N for the Hölder
-bracket), the max sides through its reflection; a row whose nearest
-candidate no other candidate can undercut is settled without its loop.  The
-Hölder envelopes and sandwich use ``min over j of f[j] + d(j, i)``, with
-d(j, i) the cheapest path from node j to node i through grid nodes, paying
-``phi[|u-v|]`` per step u -> v, by label setting that stops once no label
-can be undercut.
+``min over j >= i of f[j] + table[j-i]`` (`_forward_min`), which settles a
+row without its loop when no candidate can undercut its own node.  The
+strict bracket row is the kernel on ``f[1:]`` and ``table[1:]``, the Hölder
+bracket row the lesser of the kernel on f and on its reversal; every max
+side is a reflection.  The Hölder envelopes and sandwich use
+``min over j of f[j] + d(j, i)``, with d(j, i) the cheapest path from node j
+to node i through grid nodes, paying ``phi[|u-v|]`` per step u -> v, by label
+setting that stops once no label can be undercut.
 The brackets check their table hypotheses with the subadditivity scans of
 `error_envelopes`, the companion table psi on the right; no table is scanned here.
 """
@@ -69,73 +69,59 @@ def _sigma_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
 _CANDIDATES_PER_NODE = 8
 
 
-def _forward_min(v: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
-    """``min over j >= max(i + start, 0) of v[j] + table[|j-i|]`` for every i.
-
-    Start 0 gives the monotone envelopes, start 1 the strict bracket halves,
-    start ``1 - N`` (every j) the Hölder bracket.  Rows whose range is empty
-    (the last ``start``, for start > 0) keep ``v[i]``.  For start 0 and 1 a
-    linear table takes the O(N) `_forward_linear`, everything else
-    `_forward_min_loop`, which runs only the rows that `_settled_rows` leaves
-    open; all give the loop's bits.  A result past the double range raises
-    OverflowError.
-    """
-    out = _forward_linear(v, table, start) if start in (0, 1) else None
-    out = _forward_min_loop(v, table, start) if out is None else out
-    return _finite(out, "envelope")
+def _forward_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``min over j >= i of v[j] + table[j-i]`` for every i: a linear table
+    takes the O(N) `_forward_linear`, everything else `_forward_min_loop`,
+    which runs only the rows `_settled_rows` leaves open; all give the loop's
+    bits.  A sum past the double range is inf.  Callers check the result, as
+    half of a two-sided row may be inf where the whole row is finite."""
+    out = _forward_linear(v, table) if len(v) > 1 else None
+    return _forward_min_loop(v, table) if out is None else out
 
 
 @np.errstate(over="ignore")  # an inf sum never undercuts a finite one
-def _settled_rows(v: np.ndarray, table: np.ndarray, start: int):
-    """``(near, settled)`` for the rows i = 0..N-1-s0 of `_forward_min`, with
-    ``s0 = max(start, 0)``: ``near[i] = fl(v[i+s0] + table[s0])`` is the row's
-    nearest candidate, and where ``settled[i]`` it is the row's minimum.
+def _settled_rows(v: np.ndarray, table: np.ndarray):
+    """``(near, settled)`` for the rows of `_forward_min`: ``near[i] =
+    fl(v[i] + table[0])`` is row i's nearest candidate, and where
+    ``settled[i]`` it is the row's minimum.
 
-    Every other j in row i's range has offset ``|j-i| > s0``, so its sum is
-    at least ``M[i] + min(table[s0+1:N])`` exactly, where M[i] is the least
-    v[j] over j > i + s0 (and, for start < 0, also over j < i: a superset of
-    the row's range).  Rounding is monotone, so the rounded sum is at least
-    ``fl(M[i] + min(table[s0+1:N]))``.  When ``near`` is strictly below that,
+    Every other j in row i has offset ``j - i > 0``, so its sum is at least
+    ``M[i] + min(table[1:N])`` exactly, where M[i] is the least v[j] over
+    j > i.  Rounding is monotone, so the rounded sum is at least
+    ``fl(M[i] + min(table[1:N]))``.  When ``near`` is strictly below that,
     it is the unique least element of the row, with the bits of the loop's
     own sum; strict, so a tie of +0.0 and -0.0 never settles.
     """
     n = len(v)
-    s0 = max(start, 0)
-    near = v[s0:] + table[s0]
-    bound = np.full(n - s0, np.inf)
-    np.minimum.accumulate(v[:s0:-1], out=bound[-2::-1])
-    if start < 0:
-        np.minimum(bound[1:], np.minimum.accumulate(v[:-1]), out=bound[1:])
-    bound += table[s0 + 1 : n].min(initial=np.inf)
+    near = v + table[0]
+    bound = np.full(n, np.inf)
+    np.minimum.accumulate(v[:0:-1], out=bound[-2::-1])
+    bound += table[1:n].min(initial=np.inf)
     return near, near < bound
 
 
 @np.errstate(over="ignore")  # an inf sum never undercuts a finite one
-def _forward_min_loop(v: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
+def _forward_min_loop(v: np.ndarray, table: np.ndarray) -> np.ndarray:
     """`_forward_min` in O(N^2): the rows that `_settled_rows` decides take
-    their nearest candidate, every other row i is one slice of the mirrored
-    table ``sym[n-1+k] = table[|k|]``, minimized."""
+    their nearest candidate, every other row i is ``v[i:] + table[:N-i]``,
+    minimized."""
     n = len(v)
-    sym = np.concatenate([table[n - 1 : 0 : -1], table[:n]])
-    out = v.copy()
-    near, settled = _settled_rows(v, table, start)
-    np.copyto(out[: len(near)], near, where=settled)
+    out, settled = _settled_rows(v, table)  # a fresh array: open rows are overwritten
     for i in map(int, np.flatnonzero(~settled)):
-        j = i + start if i + start > 0 else 0  # cheaper than max() per row
-        out[i] = (v[j:] + sym[n - 1 + j - i : 2 * n - 1 - i]).min()
+        out[i] = (v[i:] + table[: n - i]).min()
     return out
 
 
 @np.errstate(over="ignore")  # a non-finite quantity sends the call to the loop
-def _forward_linear(v: np.ndarray, sigma: np.ndarray, start: int) -> np.ndarray | None:
-    """`_forward_min` in O(N) when ``sigma[k] == fl(k * c)`` for k >= 1, with
-    ``c = sigma[1]``; None when that fails or the candidates are too many.
+def _forward_linear(v: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
+    """`_forward_min` in O(N), N >= 2, when ``sigma[k] == fl(k * c)`` for
+    k >= 1, ``c = sigma[1]``; None when that fails or candidates are many.
 
     Why the bits are the loop's: row i is the least rounded sum
     ``fl(v[j] + sigma[j-i])``.  Rounding is monotone, so that is fl of the
     exact least sum, and any subset of j holding an exact argmin gives the
-    same value.  Neither sigma[0] nor c carries a sign bit (else None), so
-    no sum is -0.0 and equal values have equal bits.  The diagonal
+    same value.  No entry of ``sigma[:N]`` carries a sign bit (else None),
+    so no sum is -0.0 and equal values have equal bits.  The diagonal
     ``v[i] + sigma[0]`` is always evaluated; the part over j > i is found
     from ``w[j] = fl(v[j] + fl(j * c))`` as follows.
 
@@ -152,7 +138,7 @@ def _forward_linear(v: np.ndarray, sigma: np.ndarray, start: int) -> np.ndarray 
     """
     n = len(v)
     c = sigma[1]
-    if np.signbit(sigma[0]) or np.signbit(c):
+    if np.signbit(sigma[:n]).any():
         return None
     w = np.arange(n, dtype=float)
     w *= c
@@ -186,12 +172,24 @@ def _forward_linear(v: np.ndarray, sigma: np.ndarray, start: int) -> np.ndarray 
     del count
     vals += sigma[k]
     del k
-    if start == 0:
-        out = v + sigma[0]
-    else:
-        out = np.full(n, np.inf)
-        out[n - 1] = v[n - 1]
+    out = v + sigma[0]
     np.minimum.at(out, rows, vals)
+    return out
+
+
+def _strict_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``min over j > i of v[j] + table[j-i]``, ``v[-1]`` for the empty last
+    row: row i of `_forward_min` on ``v[1:]`` and ``table[1:]``."""
+    out = v.copy()
+    out[:-1] = _forward_min(v[1:], table[1:])
+    return out
+
+
+def _two_sided_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``min over all j of v[j] + table[|j-i|]``: the lesser of the rows over
+    j <= i (`_forward_min` on the reversal) and j >= i, every zero +0.0."""
+    out = np.minimum(_forward_min(v[::-1], table)[::-1], _forward_min(v, table))
+    out += 0.0
     return out
 
 
@@ -211,12 +209,11 @@ def _neg(x: np.ndarray) -> np.ndarray:
     return 0.0 - x
 
 
-def _backward_max(v: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
-    """``max over j <= min(i - start, N-1) of v[j] - table[|i-j|]``:
-    `_forward_min` on the reflection ``-v[::-1]``, reflected back.  Negation
-    and reversal are exact, so this equals the direct maximum; a zero result
-    is always +0.0."""
-    return _neg(_forward_min(_neg(v[::-1]), table, start)[::-1])
+def _backward_max(v: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``max over j <= i of v[j] - table[i-j]``: `_forward_min` on the
+    reflection ``-v[::-1]``, reflected back, as the bracket halves are.
+    Both steps are exact, and a zero result is always +0.0."""
+    return _neg(_forward_min(_neg(v[::-1]), table)[::-1])
 
 
 def _require_zero_at_origin(phi: ErrorFn) -> None:
@@ -234,7 +231,8 @@ def monotone_lower_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     against sigma (hence against phi), is below f whenever the table
     vanishes at offset 0, and the operator is then idempotent.
     """
-    return SampledFn(f.grid, _forward_min(f.values, _sigma_table(f, phi), 0))
+    env = _forward_min(f.values, _sigma_table(f, phi))
+    return SampledFn(f.grid, _finite(env, "envelope"))
 
 
 def monotone_upper_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
@@ -243,7 +241,8 @@ def monotone_upper_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     Mirror image of `monotone_lower_envelope`:
     ``out[i] = max over j <= i of f[j] - sigma[i-j]``.
     """
-    return SampledFn(f.grid, _backward_max(f.values, _sigma_table(f, phi), 0))
+    env = _backward_max(f.values, _sigma_table(f, phi))
+    return SampledFn(f.grid, _finite(env, "envelope"))
 
 
 def holder_lower_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
@@ -282,7 +281,7 @@ def monotone_sandwich(
     sig = _sigma_table(g, phi)
     gv, hv = g.values, h.values
     n = len(gv)
-    env = _forward_min(hv, sig, 0)
+    env = _finite(_forward_min(hv, sig), "envelope")
     with np.errstate(over="ignore"):  # an inf excess fails the certificate
         excess = float((gv - env).max())
     scale = _magnitude(gv) + _magnitude(hv) + float(sig.max())
@@ -353,8 +352,8 @@ def monotone_bracket(
             "negated error table is not monotone within the companion table", w
         )
     sig = _sigma_table(f, phi)
-    lower = _backward_max(f.values, sig, 1)
-    upper = _forward_min(f.values, sig, 1)
+    lower = _finite(_neg(_strict_min(_neg(f.values[::-1]), sig)[::-1]), "envelope")
+    upper = _finite(_strict_min(f.values, sig), "envelope")
     return BracketPair(SampledFn(f.grid, lower), SampledFn(f.grid, upper))
 
 
@@ -389,8 +388,8 @@ def holder_bracket(
         )
     cut = ErrorFn(phi.grid_step, offsets_table(f, phi))
     alpha = absolutely_subadditive_envelope(cut).values
-    lower = _backward_max(f.values, alpha, 1 - n)
-    upper = _forward_min(f.values, alpha, 1 - n)
+    lower = _finite(_neg(_two_sided_min(_neg(f.values), alpha)), "envelope")
+    upper = _finite(_two_sided_min(f.values, alpha), "envelope")
     # the offsets |j-i| reachable from node i are 0..max(i, n-1-i)
     ar = np.arange(n)
     with np.errstate(over="ignore"):

@@ -295,8 +295,8 @@ def record_settled_rows(monkeypatch) -> list[np.ndarray]:
     test = function_envelopes._settled_rows
     masks: list[np.ndarray] = []
 
-    def recording(v, table, start):
-        near, settled = test(v, table, start)
+    def recording(v, table):
+        near, settled = test(v, table)
         masks.append(settled)
         return near, settled
 

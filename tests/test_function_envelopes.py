@@ -31,6 +31,8 @@ from approxmono.function_envelopes import (
     _forward_linear,
     _forward_min,
     _forward_min_loop,
+    _strict_min,
+    _two_sided_min,
 )
 from helpers import (
     brute_grid_distances,
@@ -566,6 +568,16 @@ class TestEnvelopeOverflow:
         with pytest.raises(OverflowError, match="envelope overflows the double range"):
             call()
 
+    def test_half_row_overflow_keeps_a_finite_bracket(self):
+        # row 0 over j <= 0 is 1.5e308 + 0.5e308 = inf, yet the row over
+        # every j is finite: the check comes after the halves are combined
+        f = sfn([1.5e308, 0.0])
+        phi = efn([0.5e308, 1.6e308])
+        pair = holder_bracket(f, phi, phi)
+        alpha = absolutely_subadditive_envelope(phi).values
+        assert same_bits(pair.upper.values, loop_forward_min(f.values, alpha, -1))
+        assert same_bits(pair.lower.values, -loop_forward_min(-f.values, alpha, -1))
+
     def test_overflowing_gap_bound(self):
         phi = efn([1e308, 1e308, 1.5e308])
         with pytest.raises(OverflowError, match="gap bound overflows"):
@@ -700,6 +712,15 @@ class TestMirrorsMatchDirectLoops:
             for out in outs:
                 assert not np.signbit(out).any()
 
+    def test_holder_bracket_zeros_are_positive(self):
+        # each two-sided row is the lesser of two one-sided rows, which
+        # cannot tell which zero the whole row's minimum would have been, so
+        # both halves return +0.0 for every zero
+        f = sfn([0.0, -0.0])
+        pair = holder_bracket(f, efn([-0.0, 0.0]), efn([1e3, 1e3]))
+        assert same_bits(pair.lower.values, np.zeros(2))
+        assert same_bits(pair.upper.values, np.zeros(2))
+
 
 @st.composite
 def linear_sigma_case(draw):
@@ -741,15 +762,17 @@ def linear_sigma_case(draw):
 
 class TestLinearSigmaKernel:
     """`_forward_min` on linear sigma must give the quadratic loop's bits,
-    whether it runs the candidate kernel or falls back to the loop."""
+    whether it runs the candidate kernel or falls back to the loop; so must
+    the strict bracket row built on it (skip 1)."""
 
     @given(linear_sigma_case())
     @settings(max_examples=400, deadline=None)
     def test_bit_equal_to_loop(self, case):
         kind, v, sigma, skip = case
         want = loop_forward_min(v, sigma, skip)
-        assert same_bits(_forward_min(v, sigma, skip), want)
-        fast = _forward_linear(v, sigma, skip)
+        got = _forward_min(v, sigma) if skip == 0 else _strict_min(v, sigma)
+        assert same_bits(got, want)
+        fast = _forward_linear(v, sigma)
         if kind == "negzero":
             assert fast is None  # a -0.0 sum could break a tie's sign
         n = len(v)
@@ -759,8 +782,27 @@ class TestLinearSigmaKernel:
     def test_nonlinear_sigma_falls_back(self):
         v = np.array([0.0, 1.0, -1.0, 2.0])
         sigma = np.array([0.0, 1.0, 1.5, 2.0])
-        assert _forward_linear(v, sigma, 0) is None
-        assert same_bits(_forward_min(v, sigma, 0), loop_forward_min(v, sigma, 0))
+        assert _forward_linear(v, sigma) is None
+        assert same_bits(_forward_min(v, sigma), loop_forward_min(v, sigma, 0))
+
+    @pytest.mark.parametrize(
+        "v, sigma",
+        [
+            ([-0.0, 0.0, -0.0, -0.0], [0.5, 0.0, -0.0, -0.0]),
+            # here the candidate kernel would return +0.0 where the loop's
+            # minimum is -0.0
+            (
+                [-0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+                [0.5, 0.0] + [-0.0] * 7,
+            ),
+        ],
+    )
+    def test_negative_zero_past_offset_one_falls_back(self, v, sigma):
+        # c = +0.0 with -0.0 further out, as a shifted table sigma[1:] can
+        # hold: array_equal takes it for linear, the sign bit must not
+        v, sigma = np.array(v), np.array(sigma)
+        assert _forward_linear(v, sigma) is None
+        assert same_bits(_forward_min(v, sigma), loop_forward_min(v, sigma, 0))
 
     @pytest.mark.parametrize(
         "v, c, sigma0",
@@ -774,16 +816,16 @@ class TestLinearSigmaKernel:
         v = np.array(v)
         sigma = np.arange(len(v)) * c
         sigma[0] = sigma0
-        assert _forward_linear(v, sigma, 0) is None
-        assert same_bits(_forward_min(v, sigma, 0), loop_forward_min(v, sigma, 0))
+        assert _forward_linear(v, sigma) is None
+        assert same_bits(_forward_min(v, sigma), loop_forward_min(v, sigma, 0))
 
     @staticmethod
     def _count_loop_calls(monkeypatch):
         calls = []
 
-        def counting(v, sigma, skip):
+        def counting(v, sigma):
             calls.append(len(v))
-            return _forward_min_loop(v, sigma, skip)
+            return _forward_min_loop(v, sigma)
 
         monkeypatch.setattr(function_envelopes, "_forward_min_loop", counting)
         return calls
@@ -811,10 +853,35 @@ class TestLinearSigmaKernel:
         assert calls == [n]
         assert np.array_equal(out.values, f.values)
 
+    def test_two_node_bracket(self):
+        # each strict row runs the kernel on one node, below the two nodes
+        # the linear kernel needs
+        phi = efn([0.0, 0.5])
+        for vals in ([0.0, 0.25], [1.0, 0.5], [-0.0, 0.0]):
+            f = sfn(vals)
+            pair = monotone_bracket(f, phi, phi)
+            lower, upper = loop_monotone_bracket(f.values, phi.values)
+            assert same_bits(pair.lower.values, lower + 0.0)
+            assert same_bits(pair.upper.values, upper)
+
+    def test_linear_alpha_bracket_skips_the_loop(self, monkeypatch):
+        # power:1,1 at a dyadic step: alpha[k] = k * alpha[1] exactly, so
+        # both halves of each two-sided row take the linear kernel
+        n = 5000
+        step = 2.0**-10
+        phi = power_error(PowerErrorSpec(1.0, 1.0), step, n)
+        rng = np.random.default_rng(5002)
+        f = SampledFn(Grid(0.0, step, n), np.cumsum(rng.uniform(-0.5, 0.5, n)) * step)
+        calls = self._count_loop_calls(monkeypatch)
+        pair = holder_bracket(f, phi, phi)
+        assert calls == []
+        alpha = absolutely_subadditive_envelope(phi).values
+        assert same_bits(pair.upper.values, loop_forward_min(f.values, alpha, 1 - n))
+
 
 @st.composite
 def row_case(draw):
-    """(v, table, start) for the row loop, start in {0, 1, -1, 1 - N}, the
+    """(v, table, start) for the row shapes, start in {0, 1, 1 - N}, the
     table up to 3 offsets longer than the grid.  Kinds: tie-heavy
     quarter-integer values with zero costs, ±0.0 values and costs with -0.0
     at offset 0, values near the double range whose sums overflow, and
@@ -833,35 +900,43 @@ def row_case(draw):
         v, table = 1.7e308 * rng.uniform(-1, 1, n), 1.7e308 * rng.uniform(0, 1, size)
     else:
         v, table = rng.normal(size=n), np.abs(rng.normal(size=size))
-    return v, table, draw(st.sampled_from([0, 1, -1, 1 - n]))
+    return v, table, draw(st.sampled_from([0, 1, 1 - n]))
 
 
 class TestSettledRows:
     """`_forward_min_loop` takes a row's nearest candidate when no other can
-    undercut it, and must keep the full loop's bits."""
+    undercut it, and must keep the full loop's bits; so must the strict
+    (start 1) and two-sided (start 1 - N) rows built on the kernel."""
 
     @given(row_case())
     @settings(max_examples=400, deadline=None)
     def test_bit_equal_to_the_loop(self, case):
         v, table, start = case
         want = loop_forward_min(v, table, start)
-        assert same_bits(_forward_min_loop(v, table, start), want)
+        if start == 0:
+            got = _forward_min_loop(v, table)
+        elif start == 1:
+            got = _strict_min(v, table)
+        else:  # the two-sided row returns every zero as +0.0
+            got, want = _two_sided_min(v, table), want + 0.0
+        assert same_bits(got, want)
 
     @pytest.mark.parametrize(
         "v, table, start",
         [
             ([0.0, -0.5], [0.0, 0.25], 0),  # undercut at the next offset
             ([0.0, 0.0, -1.0], [0.0, 0.5, 0.25], 1),  # the same past the strict start
-            ([-1.0, 0.0], [0.0, 0.25], -1),  # undercut from the left
+            ([0.0, 0.0, -0.0], [0.0, 0.0, -0.0], 1),  # a ±0.0 tie past it
             ([0.0, -0.0], [0.0, -0.0], 0),  # +0.0 nearest, -0.0 next: a tie
         ],
     )
     def test_nearest_candidate_undercut(self, v, table, start):
+        # the strict row is the kernel on v[1:] and table[1:]
         v, table = np.array(v), np.array(table)
-        near, settled = function_envelopes._settled_rows(v, table, start)
-        assert not settled[0 if start >= 0 else 1]
-        want = loop_forward_min(v, table, start)
-        assert same_bits(_forward_min_loop(v, table, start), want)
+        near, settled = function_envelopes._settled_rows(v[start:], table[start:])
+        assert not settled[0]
+        got = _forward_min_loop(v, table) if start == 0 else _strict_min(v, table)
+        assert same_bits(got, loop_forward_min(v, table, start))
 
     def test_flat_member_bracket_runs_no_loop_row(self, monkeypatch):
         # the member's oscillation stays below the least off-diagonal cost,
@@ -877,7 +952,7 @@ class TestSettledRows:
         member = SampledFn(Grid(0.0, step, n), wave)
         psi = ErrorFn(step, np.full(n, float(phi.values.max())))
         pair = holder_bracket(member, phi, psi)
-        assert len(masks) == 2 and all(m.all() for m in masks)
+        assert len(masks) == 4 and all(m.all() for m in masks)  # two rows per half
         alpha = absolutely_subadditive_envelope(phi).values
         assert same_bits(pair.upper.values, loop_holder_lower(member.values, alpha))
 
