@@ -3,8 +3,11 @@
 The monotone operators and the Hölder bracket replace the error table by its
 subadditive (or absolutely subadditive) envelope, which keeps membership and
 makes them idempotent on grids.  All of them run one min-plus row kernel,
-``min over j >= i of f[j] + table[j-i]`` (`_forward_min`), which settles a
-row without its loop when no candidate can undercut its own node.  The
+``min over j >= i of f[j] + table[j-i]`` (`_forward_min`).  It settles a row
+without its loop when no candidate can undercut its own node.  On a linear
+table ``fl((k+s) * c)`` it runs in O(N) when few pairs can hold a row's
+minimum, and otherwise settles every row it can prove by Ziv's rounding
+test, made exact with Dekker's double-double products and sums.  The
 strict bracket row is the kernel on ``f[1:]`` and ``table[1:]``, the Hölder
 bracket row the lesser of the kernel on f and on its reversal; every max
 side is a reflection.  The Hölder envelopes and sandwich use
@@ -65,86 +68,203 @@ def _sigma_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
 
 
 #: Candidate pairs per node beyond which `_forward_linear` hands a call to the
-#: quadratic loop (exact near-ties such as ``f[j] = -j * sigma[1]``).
+#: rounding test and the row loop (exact near-ties such as
+#: ``f[j] = -j * sigma[1]``).
 _CANDIDATES_PER_NODE = 8
+
+#: Veltkamp's splitting constant for doubles, ``2^27 + 1``.
+_SPLIT = 134217729.0
 
 
 def _forward_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``min over j >= i of v[j] + table[j-i]`` for every i: a linear table
-    takes the O(N) `_forward_linear`, everything else `_forward_min_loop`,
-    which runs only the rows `_settled_rows` leaves open; all give the loop's
-    bits.  A sum past the double range is inf.  Callers check the result, as
-    half of a two-sided row may be inf where the whole row is finite."""
-    out = _forward_linear(v, table) if len(v) > 1 else None
-    return _forward_min_loop(v, table) if out is None else out
+    """``min over j >= i of v[j] + table[j-i]`` for every i, with the loop's
+    bits.  A linear table, ``table[k] = fl((k+s) * c)`` (`_linear_shift`),
+    takes the O(N) `_forward_linear` when its candidates are few; otherwise
+    `_forward_min_loop` runs the rows that neither `_settled_rows` nor, on a
+    linear table, the rounding test of `_rounding_rows` settles.  A sum past
+    the double range is inf.  Callers check the result, as half of a
+    two-sided row may be inf where the whole row is finite."""
+    s = _linear_shift(table, len(v))
+    out = None if s is None else _forward_linear(v, table, s)
+    return _forward_min_loop(v, table, s) if out is None else out
+
+
+@np.errstate(over="ignore")  # a ramp past the double range is not the table
+def _linear_shift(table: np.ndarray, n: int) -> int | None:
+    """s when ``table[k] == fl((k+s) * c)`` for every k in ``1-s .. n-1``,
+    with ``c = table[1-s]``: s = 0 for an envelope table (``table[0]`` free),
+    s = 1 for the shifted table ``sigma[1:]`` of the strict rows.  None when
+    neither holds, when n < 2, or when ``table[:n]`` carries a sign bit."""
+    if n < 2 or np.signbit(table[:n]).any():
+        return None
+    for s in (0, 1):
+        if np.array_equal(np.arange(1.0, n + s) * table[1 - s], table[1 - s : n]):
+            return s
+    return None
+
+
+def _two_sum(a, b):
+    """``(x, y)`` with ``x = fl(a + b)`` and ``a + b = x + y`` exactly (Knuth)."""
+    x = a + b
+    t = x - a
+    return x, (a - (x - t)) + (b - t)
+
+
+def _two_product(a, b):
+    """``(x, y)`` with ``x = fl(a * b)`` and ``a * b = x + y`` exactly
+    (Dekker, with Veltkamp's split), unless a value overflows or the
+    exponents of a and b sum to less than -969."""
+    x = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    t = _SPLIT * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return x, ((ah * bh - x) + ah * bl + al * bh) + al * bl
 
 
 @np.errstate(over="ignore")  # an inf sum never undercuts a finite one
-def _settled_rows(v: np.ndarray, table: np.ndarray):
-    """``(near, settled)`` for the rows of `_forward_min`: ``near[i] =
-    fl(v[i] + table[0])`` is row i's nearest candidate, and where
-    ``settled[i]`` it is the row's minimum.
+def _settled_rows(v: np.ndarray, table: np.ndarray, s: int | None = None):
+    """``(out, settled)`` for the rows of `_forward_min`: where ``settled[i]``,
+    ``out[i]`` is row i's minimum, elsewhere it is the row's nearest
+    candidate ``fl(v[i] + table[0])``.
 
     Every other j in row i has offset ``j - i > 0``, so its sum is at least
     ``M[i] + min(table[1:N])`` exactly, where M[i] is the least v[j] over
     j > i.  Rounding is monotone, so the rounded sum is at least
-    ``fl(M[i] + min(table[1:N]))``.  When ``near`` is strictly below that,
-    it is the unique least element of the row, with the bits of the loop's
-    own sum; strict, so a tie of +0.0 and -0.0 never settles.
+    ``fl(M[i] + min(table[1:N]))``.  When the nearest candidate is strictly
+    below that, it is the unique least element of the row, with the bits of
+    the loop's own sum; strict, so a tie of +0.0 and -0.0 never settles.
+    Given the shift s of a linear table, a row that `_rounding_rows`
+    settles takes the lesser of the nearest candidate and the minimum it
+    proves, which covers the rest of the row.
     """
     n = len(v)
     near = v + table[0]
     bound = np.full(n, np.inf)
     np.minimum.accumulate(v[:0:-1], out=bound[-2::-1])
     bound += table[1:n].min(initial=np.inf)
-    return near, near < bound
+    settled = near < bound
+    if s is not None:
+        cand, ok = _rounding_rows(v, table, s)
+        m = len(ok)
+        np.minimum(near[:m], cand, out=near[:m], where=ok)
+        settled[:m] |= ok
+    return near, settled
+
+
+def _ramp_sums(v: np.ndarray, c: float, s: int):
+    """``(p, e, hi, lo, r)`` with ``k * c = p[k] + e[k]`` for k = 0 .. N and
+    ``v[j] + (j+s) * c = hi[j] + lo[j] + r[j]``, all exactly, where
+    ``hi = fl(hi + lo)`` and r[j], the rounding of the low parts' sum, is
+    zero unless that sum spans more than 106 bits.  Exact while c is 0 or
+    at least 2^-969 and no value overflows (`_two_product`)."""
+    n = len(v)
+    p, e = _two_product(np.arange(n + 1.0), c)
+    a, b = _two_sum(v, p[s : n + s])
+    b, r = _two_sum(b, e[s : n + s])
+    hi, lo = _two_sum(a, b)
+    return p, e, hi, lo, r
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite quantity settles no row
+def _rounding_rows(v: np.ndarray, table: np.ndarray, s: int):
+    """``(cand, ok)`` for the rows i = 0 .. N-2+s of `_forward_min` on a
+    table with ``table[k] = fl((k+s) * c)`` for k >= 1-s: where ``ok[i]``,
+    ``cand[i]`` is ``min over j >= i+1-s of fl(v[j] + table[j-i])``, with
+    the loop's bits.  This is Ziv's rounding test, made exact with Dekker's
+    products and sums.
+
+    With `_ramp_sums`, ``table[k] = p[k+s]`` lies within E of
+    ``(k+s) * c``, E the largest |e| over the offsets ``k + s = 1 ..
+    N-1-i+s`` that row i uses.  So every exact sum of row i is
+    ``v[j] + table[j-i] >= W[j] - i*c - E``, where
+    ``W[j] = v[j] + (j+s)*c = hi[j] + lo[j] + r[j]``.  Since
+    ``hi = fl(hi + lo)`` and rounding is monotone, the lexicographic order
+    of (hi, lo) is the order of hi + lo; j0, the lexicographic argmin over
+    ``j >= i+1-s``, therefore minimizes hi + lo there, and every sum of the
+    row is at least ``L = hi[j0] + lo[j0] - p[i] - e[i] - E - R``,
+    R = max |r|.  The row's minimum m is the rounded least sum, so
+    ``fl(L) <= m <= cand[i] = fl(v[j0] + table[j0-i])``, the loop's own sum
+    at j0.  With g half the gap from cand[i] down to the next double,
+    ``L > cand[i] - g`` gives ``fl(L) >= cand[i]``, hence ``m = cand[i]``.
+    Two more `_two_sum` steps write ``L - cand[i] + g`` as eight doubles,
+    exactly.  Their float sum d is within ``8u * S`` of it, u = 2^-53 and S
+    the sum of their magnitudes (a sum in the subnormal range is exact), and
+    the band ``2^-49 * fl(S) + 2^-1069`` exceeds that with room for its own
+    rounding.  So ``d > band`` proves the row.  A zero cand[i] stays open,
+    so the loop keeps its sign; so does every row when c is below 2^-969
+    but not 0, or when any d is not finite (an overflow makes every d NaN
+    through R).
+    """
+    n = len(v)
+    rows = np.arange(n - 1 + s)
+    none = v[: len(rows)], np.zeros(len(rows), dtype=bool)
+    c = float(table[1 - s])
+    if 0.0 < c < 2.0**-969:
+        return none
+    p, e, hi, lo, r = _ramp_sums(v, c, s)
+    # j0[i]: the lexicographic argmin of (hi, lo) over j >= i + 1 - s
+    order = np.lexsort((lo, hi))
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    j0 = order[np.minimum.accumulate(rank[::-1])[::-1][1 - s :]]
+    cand = v[j0] + table[j0 - rows]
+    x, y = _two_sum(hi[j0], -p[rows])
+    x, z = _two_sum(x, -cand)
+    half_gap = 0.5 * (cand - np.nextafter(cand, -np.inf))
+    big_e = np.maximum.accumulate(np.abs(e[1 : n + s]))[n - 2 + s - rows]
+    terms = (x, z, y, lo[j0], -e[rows], -big_e, -np.abs(r).max(), half_gap)
+    d = sum(terms)
+    if not np.isfinite(d).all():
+        return none
+    band = 2.0**-49 * sum(np.abs(t) for t in terms) + 2.0**-1069
+    return cand, (d > band) & (cand != 0.0)
 
 
 @np.errstate(over="ignore")  # an inf sum never undercuts a finite one
-def _forward_min_loop(v: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """`_forward_min` in O(N^2): the rows that `_settled_rows` decides take
-    their nearest candidate, every other row i is ``v[i:] + table[:N-i]``,
-    minimized."""
+def _forward_min_loop(
+    v: np.ndarray, table: np.ndarray, s: int | None = None
+) -> np.ndarray:
+    """`_forward_min` in O(N^2): the rows that `_settled_rows` decides (given
+    s, with the rounding test of a linear table) take its value, every other
+    row i is ``v[i:] + table[:N-i]``, minimized."""
     n = len(v)
-    out, settled = _settled_rows(v, table)  # a fresh array: open rows are overwritten
+    out, settled = _settled_rows(v, table, s)  # fresh: open rows are overwritten
     for i in map(int, np.flatnonzero(~settled)):
         out[i] = (v[i:] + table[: n - i]).min()
     return out
 
 
 @np.errstate(over="ignore")  # a non-finite quantity sends the call to the loop
-def _forward_linear(v: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
-    """`_forward_min` in O(N), N >= 2, when ``sigma[k] == fl(k * c)`` for
-    k >= 1, ``c = sigma[1]``; None when that fails or candidates are many.
+def _forward_linear(v: np.ndarray, sigma: np.ndarray, s: int) -> np.ndarray | None:
+    """`_forward_min` in O(N), N >= 2, when ``sigma[k] == fl((k+s) * c)`` for
+    k >= 1-s, ``c = sigma[1-s]`` (`_linear_shift`); None when candidates are
+    many or the rounding bound leaves the double range.
 
     Why the bits are the loop's: row i is the least rounded sum
     ``fl(v[j] + sigma[j-i])``.  Rounding is monotone, so that is fl of the
     exact least sum, and any subset of j holding an exact argmin gives the
-    same value.  No entry of ``sigma[:N]`` carries a sign bit (else None),
-    so no sum is -0.0 and equal values have equal bits.  The diagonal
-    ``v[i] + sigma[0]`` is always evaluated; the part over j > i is found
-    from ``w[j] = fl(v[j] + fl(j * c))`` as follows.
+    same value.  No entry of ``sigma[:N]`` carries a sign bit, so no sum is
+    -0.0 and equal values have equal bits.  The diagonal ``v[i] + sigma[0]``
+    is always evaluated; the part over j > i is found from
+    ``w[j] = fl(v[j] + fl((j+s) * c))`` as follows.
 
     With u = 2^-53 and eta = 2^-1074 every rounding errs by at most
-    ``u*|x| + eta``, so the exact ``v[j] + sigma[j-i]`` is within
-    ``4u*(V + N*c) + 3*eta`` of ``w[j] - i*c``, where V = max |v|.  If j* is
-    an exact argmin of row i and m the argmin of w over j > i, then
-    ``w[j*] - i*c - B <= v[j*] + sigma[j*-i] <= v[m] + sigma[m-i]
-    <= w[m] - i*c + B``, hence ``w[j*] <= M[i] + 2B`` with M[i] the least
-    w[j] over j > i.  ``B = 2^-50 * (V + sigma[0] + N*c) + 2^-1072`` holds
-    that bound with room for the rounding of B itself and of the threshold
-    ``fl(M[i] + 2B)``.  M is nondecreasing in i, so the rows admitting j are
-    one run ending at j - 1, found by one `searchsorted` per j.
+    ``u*|x| + eta``, and ``j + s <= N``, so the exact ``v[j] + sigma[j-i]``
+    is within ``4u*(V + N*c) + 3*eta`` of ``w[j] - i*c``, where
+    V = max |v|.  If j* is an exact argmin of row i and m the argmin of w
+    over j > i, then ``w[j*] - i*c - B <= v[j*] + sigma[j*-i] <=
+    v[m] + sigma[m-i] <= w[m] - i*c + B``, hence ``w[j*] <= M[i] + 2B`` with
+    M[i] the least w[j] over j > i.  ``B = 2^-50 * (V + sigma[0] + N*c) +
+    2^-1072`` holds that bound with room for the rounding of B itself and of
+    the threshold ``fl(M[i] + 2B)``.  M is nondecreasing in i, so the rows
+    admitting j are one run ending at j - 1, found by one `searchsorted` per
+    j.
     """
     n = len(v)
-    c = sigma[1]
-    if np.signbit(sigma[:n]).any():
-        return None
-    w = np.arange(n, dtype=float)
-    w *= c
-    if not np.array_equal(w[1:], sigma[1:n]):
-        return None
-    w += v
+    c = sigma[1 - s]
+    w = v + sigma[:n]  # w[0] is never a candidate
     bound = 2.0**-50 * (_magnitude(v) + float(sigma[0]) + n * float(c)) + 2.0**-1072
     if not np.isfinite(bound):  # else no w[j] and no v[i] + sigma[0] overflows
         return None

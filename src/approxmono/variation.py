@@ -94,11 +94,16 @@ def phi_variation(f: SampledFn, partition: Partition, phi: ErrorFn) -> float:
 
 
 @np.errstate(over="ignore")
-def _variation_loop(seg: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The quadratic dynamic program of `total_phi_variation`."""
+def _variation_loop(
+    seg: np.ndarray, table: np.ndarray, restart: bool = False
+) -> np.ndarray:
+    """The quadratic dynamic program of `total_phi_variation`; with restart,
+    a partition may also begin at any node j, ``max(prefix[j], 0)`` taking
+    the place of ``prefix[j]``."""
     prefix = np.zeros(len(seg))
     for i in range(1, len(seg)):
-        prefix[i] = (prefix[:i] + (np.abs(seg[i] - seg[:i]) - table[i:0:-1])).max()
+        head = np.maximum(prefix[:i], 0.0) if restart else prefix[:i]
+        prefix[i] = (head + (np.abs(seg[i] - seg[:i]) - table[i:0:-1])).max()
     return prefix
 
 
@@ -134,19 +139,22 @@ def is_holder_via_variation(
 ) -> bool:
     """True when the total variation stays below tol on every node range.
 
-    A pair is a one-piece partition of its range, so True implies that
-    `is_phi_holder` passes at the same tol, and at tol = 0 the two agree.
-    For tol > 0 the converse fails, since pieces add their margins: with a
-    zero table, f = [0, 0.9e-9, 0] passes the pair check at 1e-9 but has
-    variation 1.8e-9.  Exact on dyadic data; elsewhere the O(N) running sum
-    may round a few ulps below a pair margin.  Cubic in the node count
-    (quadratic when every ``phi[k] >= k * phi[1]``), so meant for verification.
+    One quadratic pass computes, for every node i, the largest variation of
+    a partition ending at i from any start:
+    ``B[i] = max over j < i of fl(max(B[j], 0) + fl(|f[i] - f[j]| - phi[i-j]))``.
+    Rounding is monotone, so B[i] is the largest left-to-right float sum
+    over all partitions that end at i, whatever node they start from, and
+    the verdict is ``max(B) <= tol``.  A one-piece partition's sum is the
+    pair margin, so True implies that `is_phi_holder` passes at the same
+    tol, and at tol = 0 the two agree.  For tol > 0 the converse fails,
+    since pieces add their margins: with a zero table, f = [0, 0.9e-9, 0]
+    passes the pair check at 1e-9 but has variation 1.8e-9.  Raises
+    OverflowError when a sum leaves the double range.
     """
     check_tolerance(tol)
-    return all(
-        total_phi_variation(f, phi, start).prefix[1:].max() <= tol
-        for start in range(f.grid.count - 1)
-    )
+    table = offsets_table(f, phi)
+    best = _variation_loop(f.values, table, restart=True)[1:]
+    return bool(_finite(best, "total variation").max() <= tol)
 
 
 def jordan_decompose(f: SampledFn, phi: ErrorFn, anchor: int = 0) -> JordanPair:

@@ -295,8 +295,8 @@ def record_settled_rows(monkeypatch) -> list[np.ndarray]:
     test = function_envelopes._settled_rows
     masks: list[np.ndarray] = []
 
-    def recording(v, table):
-        near, settled = test(v, table)
+    def recording(v, table, *shift):
+        near, settled = test(v, table, *shift)
         masks.append(settled)
         return near, settled
 

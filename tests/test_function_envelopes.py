@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,9 @@ from approxmono.function_envelopes import (
     _forward_linear,
     _forward_min,
     _forward_min_loop,
+    _linear_shift,
+    _ramp_sums,
+    _rounding_rows,
     _strict_min,
     _two_sided_min,
 )
@@ -772,7 +777,8 @@ class TestLinearSigmaKernel:
         want = loop_forward_min(v, sigma, skip)
         got = _forward_min(v, sigma) if skip == 0 else _strict_min(v, sigma)
         assert same_bits(got, want)
-        fast = _forward_linear(v, sigma)
+        s = _linear_shift(sigma, len(v))
+        fast = None if s is None else _forward_linear(v, sigma, s)
         if kind == "negzero":
             assert fast is None  # a -0.0 sum could break a tie's sign
         n = len(v)
@@ -782,7 +788,7 @@ class TestLinearSigmaKernel:
     def test_nonlinear_sigma_falls_back(self):
         v = np.array([0.0, 1.0, -1.0, 2.0])
         sigma = np.array([0.0, 1.0, 1.5, 2.0])
-        assert _forward_linear(v, sigma) is None
+        assert _linear_shift(sigma, len(v)) is None
         assert same_bits(_forward_min(v, sigma), loop_forward_min(v, sigma, 0))
 
     @pytest.mark.parametrize(
@@ -801,7 +807,7 @@ class TestLinearSigmaKernel:
         # c = +0.0 with -0.0 further out, as a shifted table sigma[1:] can
         # hold: array_equal takes it for linear, the sign bit must not
         v, sigma = np.array(v), np.array(sigma)
-        assert _forward_linear(v, sigma) is None
+        assert _linear_shift(sigma, len(v)) is None
         assert same_bits(_forward_min(v, sigma), loop_forward_min(v, sigma, 0))
 
     @pytest.mark.parametrize(
@@ -816,16 +822,17 @@ class TestLinearSigmaKernel:
         v = np.array(v)
         sigma = np.arange(len(v)) * c
         sigma[0] = sigma0
-        assert _forward_linear(v, sigma) is None
+        assert _linear_shift(sigma, len(v)) == 0
+        assert _forward_linear(v, sigma, 0) is None
         assert same_bits(_forward_min(v, sigma), loop_forward_min(v, sigma, 0))
 
     @staticmethod
     def _count_loop_calls(monkeypatch):
         calls = []
 
-        def counting(v, sigma):
+        def counting(v, sigma, *shift):
             calls.append(len(v))
-            return _forward_min_loop(v, sigma)
+            return _forward_min_loop(v, sigma, *shift)
 
         monkeypatch.setattr(function_envelopes, "_forward_min_loop", counting)
         return calls
@@ -877,6 +884,160 @@ class TestLinearSigmaKernel:
         assert calls == []
         alpha = absolutely_subadditive_envelope(phi).values
         assert same_bits(pair.upper.values, loop_forward_min(f.values, alpha, 1 - n))
+
+
+    def test_strict_rows_of_a_non_envelope_member_skip_the_loop(self, monkeypatch):
+        # half a walk's envelope is a member but no envelope: the strict
+        # rows' shifted table sigma[1:] = fl((k+1)*c) leaves few candidates,
+        # so both bracket halves take the linear kernel
+        n = 5000
+        step = 1.0 / (n - 1)
+        phi = power_error(PowerErrorSpec(1.0, 1.0), step, n)
+        psi = ErrorFn(step, phi.values[-1] - phi.values[::-1])
+        rng = np.random.default_rng(5003)
+        walk = SampledFn(Grid(0.0, step, n), np.cumsum(rng.normal(size=n)) / np.sqrt(n))
+        member = SampledFn(walk.grid, 0.5 * monotone_lower_envelope(walk, phi).values)
+        calls = self._count_loop_calls(monkeypatch)
+        pair = monotone_bracket(member, phi, psi)
+        assert calls == []
+        sigma = subadditive_envelope(phi).values
+        lower, upper = loop_monotone_bracket(member.values, sigma)
+        assert same_bits(pair.lower.values, lower + 0.0)
+        assert same_bits(pair.upper.values, upper)
+
+
+@st.composite
+def rounding_case(draw):
+    """(v, table, s) with ``table[k] = fl((k+s) * c)``, on which the
+    candidate kernel would mostly decline.  Kinds: the strict (s = 1) or
+    envelope (s = 0) rows of the monotone envelope of a walk or a wave under
+    the linear sigma of ``power:eps,p``, p in {1, 1.5, 2}; the same scaled to
+    magnitudes near 1e308; quarter-integer ramps with exact ties; and ±0.0
+    values on a ramp, so that candidates vanish."""
+    kind = draw(st.sampled_from(["walk", "wave", "huge", "ties", "zeros"]))
+    s = draw(st.sampled_from([0, 1]))
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = n + s
+    if kind in ("walk", "wave", "huge"):
+        step = 1.0 / (m - 1)
+        p = draw(st.sampled_from([1.0, 1.5, 2.0]))
+        scale = 1e307 if kind == "huge" else 1.0
+        c = float(power_error(PowerErrorSpec(scale * rng.uniform(0.5, 2.0), p), step, m).values[1])
+        sigma = np.arange(m) * c
+        t = np.linspace(0.0, 1.0, m)
+        if kind == "wave":
+            f = np.sin(2 * np.pi * rng.uniform(2, 5) * t) + 0.05 * rng.normal(size=m)
+        else:
+            f = np.cumsum(rng.normal(size=m)) / np.sqrt(m)
+        member = monotone_lower_envelope(sfn(scale * f, step=step), efn(sigma, step))
+        return member.values[s:], sigma[s:], s
+    c = 0.25
+    table = np.arange(s, n + s) * c
+    if s == 0:
+        table[0] = draw(st.sampled_from([0.0, c, 0.75]))
+    if kind == "ties":
+        v = c * (rng.integers(-2, 3, n) - np.arange(n))
+    else:
+        v = rng.choice([0.0, -0.0, c, -c], n) - (np.arange(n) + s) * c
+    return v, table, s
+
+
+class TestRoundingTest:
+    """`_rounding_rows` settles a row of a linear table only with the loop's
+    bits; the proof is in its docstring.  The rows built on it, the strict
+    (start 1) and envelope (start 0) ones, keep the loop's bits too."""
+
+    @given(rounding_case())
+    @settings(max_examples=400, deadline=None)
+    def test_settled_rows_equal_the_loop(self, case):
+        v, table, s = case
+        cand, ok = _rounding_rows(v, table, s)
+        # the linear part of row i runs over j >= i + 1 - s
+        want = loop_forward_min(v, table, 1 - s)[: len(ok)]
+        assert same_bits(cand[ok], want[ok])
+        full = loop_forward_min(v, table, 0)
+        assert same_bits(_forward_min_loop(v, table, s), full)
+        assert same_bits(_forward_min(v, table), full)
+
+    @staticmethod
+    def _band_edge():
+        # row 1's lower bound sits exactly on the rounding midpoint below
+        # its candidate (d = 0), and a sum that rounds lower exists: a row
+        # settled on the wrong side of the band would take the candidate
+        c = (1.0 + 3 * 2.0**-52) / 4
+        v = 1.5 - np.arange(1, 5) * c + np.array([-3, -1, 3, -1]) * 2.0**-53
+        return v, np.arange(1, 5) * c, 1
+
+    @staticmethod
+    def _unnormalized_edge():
+        # W[5] and W[6] lie within an ulp: ordered by the unnormalized pairs
+        # (fl(v[j] + fl(j*c)), rest), node 5 comes first although W[6] is
+        # smaller, and row 1's bound overshoots
+        c = 0.6746251562190962
+        v = np.array([100.0] * 5 + [2.0**-53, -float.fromhex("0x1.596877ee0a31ap-1")])
+        table = np.arange(7) * c
+        table[0] = 0.0
+        return v, table, 0
+
+    @pytest.mark.parametrize("edge", ["_band_edge", "_unnormalized_edge"])
+    def test_edge_rows_equal_the_loop(self, edge):
+        v, table, s = getattr(self, edge)()
+        cand, ok = _rounding_rows(v, table, s)
+        want = loop_forward_min(v, table, 1 - s)[: len(ok)]
+        assert same_bits(cand[ok], want[ok])
+        assert same_bits(_forward_min_loop(v, table, s), loop_forward_min(v, table, 0))
+
+    @pytest.mark.parametrize("p, share", [(1.0, 0.25), (1.5, 0.9), (2.0, 0.9)])
+    def test_member_rows_settle(self, p, share):
+        n = 2000
+        step = 1.0 / (n - 1)
+        phi = power_error(PowerErrorSpec(1.0, p), step, n)
+        rng = np.random.default_rng(2000)
+        f = sfn(np.cumsum(rng.normal(size=n)) / np.sqrt(n), step=step)
+        member = monotone_lower_envelope(f, phi).values
+        sigma = subadditive_envelope(phi).values
+        for v in (member, 0.0 - member[::-1]):  # the upper and lower halves
+            cand, ok = _rounding_rows(v[1:], sigma[1:], 1)
+            assert ok.mean() >= share
+            want = loop_forward_min(v[1:], sigma[1:], 0)
+            assert same_bits(cand[ok], want[ok])
+
+    @pytest.mark.parametrize("c", [2.0**-1000, 1e301])
+    def test_inexact_products_settle_no_row(self, c):
+        # below 2^-969 the product's error term may underflow; near the top
+        # of the range Veltkamp's split overflows
+        v = np.array([0.5, -0.25, 0.0, 0.75]) * (1.0 if c < 1 else 1e300)
+        for s in (0, 1):
+            table = np.arange(s, len(v) + s) * c
+            assert not _rounding_rows(v, table, s)[1].any()
+            assert same_bits(_forward_min(v, table), loop_forward_min(v, table, 0))
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_ramp_sums_are_exact(self, s):
+        rng = np.random.default_rng(17 + s)
+        n = 40
+        cases = [
+            (np.cumsum(rng.normal(size=n)) / 7.0, 1.0 / 4999, False),
+            (rng.normal(size=n) * 1e5, 3e-20, True),  # W spans more than 106 bits
+            (rng.uniform(-1e300, 1e300, n), 1.2345678901234567 * 2.0**-969, True),
+            (np.zeros(n), 0.0, False),
+        ]
+        for v, c, rounded in cases:
+            p, e, hi, lo, r = _ramp_sums(v, c, s)
+            fc = Fraction(c)
+            for k in range(n + 1):
+                assert Fraction(p[k]) + Fraction(e[k]) == k * fc
+            for j in range(n):
+                pair = Fraction(hi[j]) + Fraction(lo[j])
+                assert pair + Fraction(r[j]) == Fraction(v[j]) + (j + s) * fc
+                assert float(pair) == hi[j]  # normalized: hi = fl(hi + lo)
+            assert r.any() == rounded
+            # table[k] = p[k+s], so e[k+s] is its rounding error, and E the
+            # largest of them over a row's offsets
+            for k, t in enumerate(np.arange(s, n + s) * c):
+                assert t == p[k + s]
+                assert (k + s) * fc - Fraction(t) == Fraction(e[k + s])
 
 
 @st.composite

@@ -181,7 +181,57 @@ def any_table_case(draw, max_size=12):
     return sfn(np.array(ints, dtype=float) * SCALE), efn(vals)
 
 
+@st.composite
+def variation_case(draw):
+    """(f, phi, tol) on up to 11 nodes: the dyadic cases above, or
+    non-dyadic ones, where rounding can matter.  Kinds: increments within a
+    few ulps of phi[1] on a linear (star-shaped) table, plain normal data
+    on an arbitrary positive table, and either of them at tol 0, 1e-9 or
+    0.5."""
+    kind = draw(st.sampled_from(["dyadic", "near", "real"]))
+    if kind == "dyadic":
+        f, phi = draw(any_table_case(max_size=11))
+        return f, phi, draw(st.integers(0, 1 << 18)) * SCALE
+    n = draw(st.integers(2, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "near":
+        c = rng.uniform(0.1, 2.0)
+        steps = c * (1.0 + 1e-15 * rng.integers(-4, 5, n - 1))
+        f = rng.uniform(-1, 1) + np.concatenate([[0.0], np.cumsum(steps)])
+        table = np.arange(n) * c
+    else:
+        f, table = rng.normal(size=n), np.abs(rng.normal(size=n))
+    return sfn(f), efn(table), draw(st.sampled_from([0.0, 1e-9, 0.5]))
+
+
 class TestHolderViaVariationContract:
+    def test_star_table_rounding_does_not_hide_a_pair(self):
+        # phi[k] = k * phi[1]: the unit-step running sum of
+        # |f[i] - f[i-1]| - phi[1] rounds to 0.0, yet pair (0, 3) fails by
+        # 8.9e-16, and the variation of [0, 3] is at least that margin
+        f = sfn([0.8515230085544946, 2.3387764551504606, 3.8260299017464265, 5.3132833483423925])
+        phi = efn(np.arange(4) * 1.487253446595966)
+        assert not is_phi_holder(f, phi, 0.0)[0]
+        assert not is_holder_via_variation(f, phi, 0.0)
+
+    @given(variation_case())
+    @settings(max_examples=400, deadline=None)
+    def test_verdict_equals_the_loop_over_starts(self, case):
+        f, phi, tol = case
+        n = f.grid.count
+        starts = [loop_variation(f.values, phi.values, a, n - 1)[1:].max() for a in range(n - 1)]
+        via = is_holder_via_variation(f, phi, tol)
+        assert via == (max(starts) <= tol)
+        if via:
+            assert is_phi_holder(f, phi, tol)[0]
+        if n <= 8:
+            ranges = [
+                brute_variation(f.values, phi.values, a, b)
+                for a in range(n - 1)
+                for b in range(a + 1, n)
+            ]
+            assert max(ranges) == max(starts)
+
     def test_tolerance_is_not_additive(self):
         # the range [0, 2] has variation 1.8e-9, the sum of its pair margins
         f, phi = sfn([0.0, 0.9e-9, 0.0]), efn([0.0, 0.0, 0.0])
