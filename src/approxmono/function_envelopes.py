@@ -13,9 +13,11 @@ bracket row the lesser of the kernel on f and on its reversal; every max
 side is a reflection.  The Hölder envelopes and sandwich use
 ``min over j of f[j] + d(j, i)``, with d(j, i) the cheapest path from node j
 to node i through grid nodes, paying ``phi[|u-v|]`` per step u -> v, by label
-setting that stops once no label can be undercut.
-The brackets check their table hypotheses with the subadditivity scans of
-`error_envelopes`, the companion table psi on the right; no table is scanned here.
+setting that stops once no label can be undercut.  The kernels compute
+values only; each operator returns through `_envelope`, which makes every
+zero +0.0 and raises OverflowError past the double range.  The brackets
+check their table hypotheses with the subadditivity scans of `error_envelopes`,
+the companion table psi on the right; no table is scanned here.
 """
 from __future__ import annotations
 
@@ -76,17 +78,24 @@ _CANDIDATES_PER_NODE = 8
 _SPLIT = 134217729.0
 
 
+@np.errstate(over="ignore")  # an inf sum never undercuts a finite one
 def _forward_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
     """``min over j >= i of v[j] + table[j-i]`` for every i, with the loop's
-    bits.  A linear table, ``table[k] = fl((k+s) * c)`` (`_linear_shift`),
+    values.  A linear table, ``table[k] = fl((k+s) * c)`` (`_linear_shift`),
     takes the O(N) `_forward_linear` when its candidates are few; otherwise
-    `_forward_min_loop` runs the rows that neither `_settled_rows` nor, on a
-    linear table, the rounding test of `_rounding_rows` settles.  A sum past
-    the double range is inf.  Callers check the result, as half of a
-    two-sided row may be inf where the whole row is finite."""
-    s = _linear_shift(table, len(v))
+    the loop runs every row that `_settled_rows` (with the rounding test on
+    a linear table) leaves open.  A sum past the double range is inf.
+    Callers check the result, as half of a two-sided row may be inf where
+    the whole row is finite."""
+    n = len(v)
+    s = _linear_shift(table, n)
     out = None if s is None else _forward_linear(v, table, s)
-    return _forward_min_loop(v, table, s) if out is None else out
+    if out is not None:
+        return out
+    out, settled = _settled_rows(v, table, s)  # fresh: open rows are overwritten
+    for i in map(int, np.flatnonzero(~settled)):
+        out[i] = (v[i:] + table[: n - i]).min()
+    return out
 
 
 @np.errstate(over="ignore")  # a ramp past the double range is not the table
@@ -94,8 +103,8 @@ def _linear_shift(table: np.ndarray, n: int) -> int | None:
     """s when ``table[k] == fl((k+s) * c)`` for every k in ``1-s .. n-1``,
     with ``c = table[1-s]``: s = 0 for an envelope table (``table[0]`` free),
     s = 1 for the shifted table ``sigma[1:]`` of the strict rows.  None when
-    neither holds, when n < 2, or when ``table[:n]`` carries a sign bit."""
-    if n < 2 or np.signbit(table[:n]).any():
+    neither holds or when n < 2."""
+    if n < 2:
         return None
     for s in (0, 1):
         if np.array_equal(np.arange(1.0, n + s) * table[1 - s], table[1 - s : n]):
@@ -132,19 +141,18 @@ def _settled_rows(v: np.ndarray, table: np.ndarray, s: int | None = None):
     Every other j in row i has offset ``j - i > 0``, so its sum is at least
     ``M[i] + min(table[1:N])`` exactly, where M[i] is the least v[j] over
     j > i.  Rounding is monotone, so the rounded sum is at least
-    ``fl(M[i] + min(table[1:N]))``.  When the nearest candidate is strictly
-    below that, it is the unique least element of the row, with the bits of
-    the loop's own sum; strict, so a tie of +0.0 and -0.0 never settles.
-    Given the shift s of a linear table, a row that `_rounding_rows`
-    settles takes the lesser of the nearest candidate and the minimum it
-    proves, which covers the rest of the row.
+    ``fl(M[i] + min(table[1:N]))``.  When the nearest candidate is at most
+    that, it is a least element of the row.  Given the shift s of a linear
+    table, a row that `_rounding_rows` settles takes the lesser of the
+    nearest candidate and the minimum it proves, which covers the rest of
+    the row.
     """
     n = len(v)
     near = v + table[0]
     bound = np.full(n, np.inf)
     np.minimum.accumulate(v[:0:-1], out=bound[-2::-1])
     bound += table[1:n].min(initial=np.inf)
-    settled = near < bound
+    settled = near <= bound
     if s is not None:
         cand, ok = _rounding_rows(v, table, s)
         m = len(ok)
@@ -171,9 +179,8 @@ def _ramp_sums(v: np.ndarray, c: float, s: int):
 def _rounding_rows(v: np.ndarray, table: np.ndarray, s: int):
     """``(cand, ok)`` for the rows i = 0 .. N-2+s of `_forward_min` on a
     table with ``table[k] = fl((k+s) * c)`` for k >= 1-s: where ``ok[i]``,
-    ``cand[i]`` is ``min over j >= i+1-s of fl(v[j] + table[j-i])``, with
-    the loop's bits.  This is Ziv's rounding test, made exact with Dekker's
-    products and sums.
+    ``cand[i]`` is ``min over j >= i+1-s of fl(v[j] + table[j-i])``.  This
+    is Ziv's rounding test, made exact with Dekker's products and sums.
 
     With `_ramp_sums`, ``table[k] = p[k+s]`` lies within E of
     ``(k+s) * c``, E the largest |e| over the offsets ``k + s = 1 ..
@@ -192,10 +199,9 @@ def _rounding_rows(v: np.ndarray, table: np.ndarray, s: int):
     exactly.  Their float sum d is within ``8u * S`` of it, u = 2^-53 and S
     the sum of their magnitudes (a sum in the subnormal range is exact), and
     the band ``2^-49 * fl(S) + 2^-1069`` exceeds that with room for its own
-    rounding.  So ``d > band`` proves the row.  A zero cand[i] stays open,
-    so the loop keeps its sign; so does every row when c is below 2^-969
-    but not 0, or when any d is not finite (an overflow makes every d NaN
-    through R).
+    rounding.  So ``d > band`` proves the row.  Every row stays open when c
+    is below 2^-969 but not 0, or when any d is not finite (an overflow
+    makes every d NaN through R).
     """
     n = len(v)
     rows = np.arange(n - 1 + s)
@@ -219,21 +225,7 @@ def _rounding_rows(v: np.ndarray, table: np.ndarray, s: int):
     if not np.isfinite(d).all():
         return none
     band = 2.0**-49 * sum(np.abs(t) for t in terms) + 2.0**-1069
-    return cand, (d > band) & (cand != 0.0)
-
-
-@np.errstate(over="ignore")  # an inf sum never undercuts a finite one
-def _forward_min_loop(
-    v: np.ndarray, table: np.ndarray, s: int | None = None
-) -> np.ndarray:
-    """`_forward_min` in O(N^2): the rows that `_settled_rows` decides (given
-    s, with the rounding test of a linear table) take its value, every other
-    row i is ``v[i:] + table[:N-i]``, minimized."""
-    n = len(v)
-    out, settled = _settled_rows(v, table, s)  # fresh: open rows are overwritten
-    for i in map(int, np.flatnonzero(~settled)):
-        out[i] = (v[i:] + table[: n - i]).min()
-    return out
+    return cand, d > band
 
 
 @np.errstate(over="ignore")  # a non-finite quantity sends the call to the loop
@@ -242,13 +234,12 @@ def _forward_linear(v: np.ndarray, sigma: np.ndarray, s: int) -> np.ndarray | No
     k >= 1-s, ``c = sigma[1-s]`` (`_linear_shift`); None when candidates are
     many or the rounding bound leaves the double range.
 
-    Why the bits are the loop's: row i is the least rounded sum
+    Why the values are the loop's: row i is the least rounded sum
     ``fl(v[j] + sigma[j-i])``.  Rounding is monotone, so that is fl of the
     exact least sum, and any subset of j holding an exact argmin gives the
-    same value.  No entry of ``sigma[:N]`` carries a sign bit, so no sum is
-    -0.0 and equal values have equal bits.  The diagonal ``v[i] + sigma[0]``
-    is always evaluated; the part over j > i is found from
-    ``w[j] = fl(v[j] + fl((j+s) * c))`` as follows.
+    same value.  The diagonal ``v[i] + sigma[0]`` is always evaluated; the
+    part over j > i is found from ``w[j] = fl(v[j] + fl((j+s) * c))`` as
+    follows.
 
     With u = 2^-53 and eta = 2^-1074 every rounding errs by at most
     ``u*|x| + eta``, and ``j + s <= N``, so the exact ``v[j] + sigma[j-i]``
@@ -307,10 +298,8 @@ def _strict_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def _two_sided_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
     """``min over all j of v[j] + table[|j-i|]``: the lesser of the rows over
-    j <= i (`_forward_min` on the reversal) and j >= i, every zero +0.0."""
-    out = np.minimum(_forward_min(v[::-1], table)[::-1], _forward_min(v, table))
-    out += 0.0
-    return out
+    j <= i (`_forward_min` on the reversal) and j >= i."""
+    return np.minimum(_forward_min(v[::-1], table)[::-1], _forward_min(v, table))
 
 
 def _grid_lower(v: np.ndarray, f: SampledFn, phi: ErrorFn):
@@ -324,16 +313,17 @@ def _grid_lower(v: np.ndarray, f: SampledFn, phi: ErrorFn):
     return _label_setting(v, lambda u: sym[n - 1 - u : 2 * n - 1 - u], cmin)
 
 
-def _neg(x: np.ndarray) -> np.ndarray:
-    """``-x`` with zeros as +0.0, so a mirrored result never carries -0.0."""
-    return 0.0 - x
-
-
 def _backward_max(v: np.ndarray, table: np.ndarray) -> np.ndarray:
     """``max over j <= i of v[j] - table[i-j]``: `_forward_min` on the
-    reflection ``-v[::-1]``, reflected back, as the bracket halves are.
-    Both steps are exact, and a zero result is always +0.0."""
-    return _neg(_forward_min(_neg(v[::-1]), table)[::-1])
+    reflection ``-v[::-1]``, reflected back, as the bracket halves are."""
+    return -_forward_min(-v[::-1], table)[::-1]
+
+
+def _envelope(x: np.ndarray) -> np.ndarray:
+    """x, fresh from a kernel, with every zero +0.0, or OverflowError if a
+    value left the double range: the one exit of every function operator."""
+    x += 0.0
+    return _finite(x, "envelope")
 
 
 def _require_zero_at_origin(phi: ErrorFn) -> None:
@@ -352,7 +342,7 @@ def monotone_lower_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     vanishes at offset 0, and the operator is then idempotent.
     """
     env = _forward_min(f.values, _sigma_table(f, phi))
-    return SampledFn(f.grid, _finite(env, "envelope"))
+    return SampledFn(f.grid, _envelope(env))
 
 
 def monotone_upper_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
@@ -362,7 +352,7 @@ def monotone_upper_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     ``out[i] = max over j <= i of f[j] - sigma[i-j]``.
     """
     env = _backward_max(f.values, _sigma_table(f, phi))
-    return SampledFn(f.grid, _finite(env, "envelope"))
+    return SampledFn(f.grid, _envelope(env))
 
 
 def holder_lower_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
@@ -371,13 +361,13 @@ def holder_lower_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     ``out[i] = min over all j of f[j] + d(j, i)``, d the grid path cost of the
     module docstring.  Requires the table to vanish at 0.
     """
-    return SampledFn(f.grid, _grid_lower(f.values, f, phi)[0])
+    return SampledFn(f.grid, _envelope(_grid_lower(f.values, f, phi)[0]))
 
 
 def holder_upper_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     """Smallest Hölder-within-phi function above f: the negated lower
     envelope of -f, ``out[i] = max over j of f[j] - d(j, i)``."""
-    return SampledFn(f.grid, _neg(_grid_lower(_neg(f.values), f, phi)[0]))
+    return SampledFn(f.grid, _envelope(-_grid_lower(-f.values, f, phi)[0]))
 
 
 def monotone_sandwich(
@@ -401,7 +391,7 @@ def monotone_sandwich(
     sig = _sigma_table(g, phi)
     gv, hv = g.values, h.values
     n = len(gv)
-    env = _finite(_forward_min(hv, sig), "envelope")
+    env = _envelope(_forward_min(hv, sig))
     with np.errstate(over="ignore"):  # an inf excess fails the certificate
         excess = float((gv - env).max())
     scale = _magnitude(gv) + _magnitude(hv) + float(sig.max())
@@ -429,6 +419,7 @@ def holder_sandwich(
     if not g.grid.compatible(h.grid):
         raise DimensionMismatchError("sandwich bounds must share one grid")
     env, root = _grid_lower(h.values, h, phi)
+    env = _envelope(env)
     gv = g.values
     # one row: (g[p] - 0) - env[p] is g[p] - env[p] exactly
     best = _shifted_violation(gv, np.zeros(1), env, tol)
@@ -472,8 +463,8 @@ def monotone_bracket(
             "negated error table is not monotone within the companion table", w
         )
     sig = _sigma_table(f, phi)
-    lower = _finite(_neg(_strict_min(_neg(f.values[::-1]), sig)[::-1]), "envelope")
-    upper = _finite(_strict_min(f.values, sig), "envelope")
+    lower = _envelope(-_strict_min(-f.values[::-1], sig)[::-1])
+    upper = _envelope(_strict_min(f.values, sig))
     return BracketPair(SampledFn(f.grid, lower), SampledFn(f.grid, upper))
 
 
@@ -508,8 +499,8 @@ def holder_bracket(
         )
     cut = ErrorFn(phi.grid_step, offsets_table(f, phi))
     alpha = absolutely_subadditive_envelope(cut).values
-    lower = _finite(_neg(_two_sided_min(_neg(f.values), alpha)), "envelope")
-    upper = _finite(_two_sided_min(f.values, alpha), "envelope")
+    lower = _envelope(-_two_sided_min(-f.values, alpha))
+    upper = _envelope(_two_sided_min(f.values, alpha))
     # the offsets |j-i| reachable from node i are 0..max(i, n-1-i)
     ar = np.arange(n)
     with np.errstate(over="ignore"):

@@ -284,6 +284,14 @@ def _star_pass(v: np.ndarray, table: np.ndarray, tol: float) -> bool:
     return _certified_pass(float(d.sum()), len(v), scale, tol)
 
 
+def _monotone_violation(v: np.ndarray, table: np.ndarray, tol: float):
+    """``(k, i)`` of the pair ``(i, i+k)`` where v's monotone check against
+    the table fails most, or None: `_star_pass`, then the bounded scan."""
+    if _star_pass(v, table, tol):
+        return None
+    return _diagonal_violation(v, v, table, tol)
+
+
 def is_phi_monotone(
     f: SampledFn, phi: ErrorFn, tol: float = DEFAULT_TOL
 ) -> tuple[bool, Witness | None]:
@@ -298,9 +306,7 @@ def is_phi_monotone(
     check_tolerance(tol)
     table = offsets_table(f, phi)
     v = f.values
-    if _star_pass(v, table, tol):
-        return True, None
-    best = _diagonal_violation(v, v, table, tol)
+    best = _monotone_violation(v, table, tol)
     if best is None:
         return True, None
     k, i = best
@@ -323,9 +329,7 @@ def is_phi_holder(
     table = offsets_table(f, phi)
     found = []
     for v in (f.values, 0.0 - f.values):
-        if _star_pass(v, table, tol):
-            continue
-        best = _diagonal_violation(v, v, table, tol)
+        best = _monotone_violation(v, table, tol)
         if best is not None:
             k, i = best
             margin = float((v[i] - v[i + k]) - table[k])
@@ -338,6 +342,14 @@ def is_phi_holder(
     v = f.values
     lhs, rhs = float(abs(v[i] - v[i + k])), float(table[k])
     return False, Witness(WitnessKind.HOLDER, (i, i + k), lhs, rhs)
+
+
+def _shared_grid(fns: Sequence[SampledFn]) -> Grid:
+    """The grid of the first function, which every other must be compatible with."""
+    grid = fns[0].grid
+    if not all(f.grid.compatible(grid) for f in fns):
+        raise DimensionMismatchError("all functions must share one grid")
+    return grid
 
 
 def cone_combine(
@@ -358,10 +370,7 @@ def cone_combine(
         raise ValueError(f"unknown mode {mode!r}")
     if not (len(coeffs) == len(fns) == len(errs)) or not fns:
         raise ValueError("coeffs, fns and errs must be nonempty and equally long")
-    grid = fns[0].grid
-    for f in fns:
-        if not f.grid.compatible(grid):
-            raise DimensionMismatchError("all functions must share one grid")
+    grid = _shared_grid(fns)
     if not all(math.isfinite(c) for c in coeffs):
         raise ValueError("coefficients must be finite")
     if mode == "monotone" and any(c < 0 for c in coeffs):
@@ -392,10 +401,7 @@ def pointwise_extrema(
         raise ValueError(f"unknown extremum {which!r}")
     if not fns:
         raise ValueError("need at least one function")
-    grid = fns[0].grid
-    for f in fns:
-        if not f.grid.compatible(grid):
-            raise DimensionMismatchError("all functions must share one grid")
+    grid = _shared_grid(fns)
     stacked = np.vstack([f.values for f in fns])
     out = stacked.max(axis=0) if which == "sup" else stacked.min(axis=0)
     return SampledFn(grid, out)

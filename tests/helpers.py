@@ -290,8 +290,9 @@ def count_label_rounds(monkeypatch) -> list[int]:
 
 
 def record_settled_rows(monkeypatch) -> list[np.ndarray]:
-    """Wrap the row loop's settle test; each loop call appends its mask of
-    settled rows, so the rows it ran are the False entries."""
+    """Wrap the row loop's settle test; each `_forward_min` call that
+    declines its O(N) path appends its mask of settled rows, so the rows the
+    loop ran are the False entries."""
     test = function_envelopes._settled_rows
     masks: list[np.ndarray] = []
 

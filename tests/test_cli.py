@@ -21,7 +21,7 @@ from approxmono.csvio import (
     samples_from_csv,
     samples_to_csv,
 )
-from helpers import dyadic, rand_fn
+from helpers import dyadic, rand_fn, record_settled_rows
 
 
 def write_samples(path, values, origin=0.0, step=1.0):
@@ -218,6 +218,26 @@ class TestRunEnvelopeAndSandwich:
         expected = op(fn, power_error(PowerErrorSpec(0.125, 1.0), 1.0, 9))
         out = samples_from_csv(capsys.readouterr().out)
         assert np.array_equal(out.values, expected.values)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_negative_zero_table_runs_no_loop_row(
+        self, tmp_path, capsys, monkeypatch, side
+    ):
+        # const:-0 is the linear table c = -0.0, so the O(N) kernel takes
+        # every row; the envelope is the running extremum of the walk
+        n = 5000
+        path = tmp_path / "f.csv"
+        walk = np.cumsum(np.random.default_rng(5004).normal(size=n))
+        write_samples(path, walk)
+        masks = record_settled_rows(monkeypatch)
+        argv = ["envelope", "--input", str(path), "--error", "const:-0", "--side", side]
+        assert run(argv)[0] == 0
+        assert all(m.all() for m in masks)
+        out = samples_from_csv(capsys.readouterr().out).values
+        if side == "lower":
+            assert np.array_equal(out, np.minimum.accumulate(walk[::-1])[::-1])
+        else:
+            assert np.array_equal(out, np.maximum.accumulate(walk))
 
     def test_sandwich_feasible(self, tmp_path, capsys):
         rng = np.random.default_rng(229)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,6 @@ from approxmono.function_envelopes import (
     _CANDIDATES_PER_NODE,
     _forward_linear,
     _forward_min,
-    _forward_min_loop,
     _linear_shift,
     _ramp_sums,
     _rounding_rows,
@@ -650,6 +650,14 @@ def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def settle_and_loop(v, table):
+    """`_forward_min` with its O(N) path declined, so that the settle test
+    (with the rounding test on a linear table) and the row loop run."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(function_envelopes, "_forward_linear", lambda *args: None)
+        return _forward_min(v, table)
+
+
 @st.composite
 def mirror_case(draw):
     """(f, phi) with phi[0] = 0: dyadic, non-dyadic, small-integer (many
@@ -704,8 +712,8 @@ class TestMirrorsMatchDirectLoops:
         assert same_bits(pair.upper.values, loop_holder_lower(member.values, alpha))
 
     def test_derived_sides_never_return_negative_zero(self):
-        # without the +0.0 after negation, +0.0 input comes back as -0.0;
-        # -0.0 input comes out +0.0, as from the lower sides
+        # negation turns +0.0 input into -0.0, which the operators' exit
+        # makes +0.0 again; -0.0 input comes out +0.0 too
         for zero in (0.0, -0.0):
             f, phi = sfn(np.full(5, zero)), efn(np.zeros(5))
             outs = [
@@ -718,13 +726,58 @@ class TestMirrorsMatchDirectLoops:
                 assert not np.signbit(out).any()
 
     def test_holder_bracket_zeros_are_positive(self):
-        # each two-sided row is the lesser of two one-sided rows, which
-        # cannot tell which zero the whole row's minimum would have been, so
-        # both halves return +0.0 for every zero
+        # the inputs hold zeros of both signs; both halves return +0.0
         f = sfn([0.0, -0.0])
         pair = holder_bracket(f, efn([-0.0, 0.0]), efn([1e3, 1e3]))
         assert same_bits(pair.lower.values, np.zeros(2))
         assert same_bits(pair.upper.values, np.zeros(2))
+
+
+@st.composite
+def signed_zero_case(draw):
+    """(f, phi) holding -0.0: quarter-integer values, many of them zeros of
+    either sign, and a table of ±0.0 and 0.25 with a zero at offset 0."""
+    n = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.choice([0.0, -0.0, 0.25, -0.25, 1.0, -1.0], n)
+    table = rng.choice([0.0, -0.0, 0.25], n)
+    table[0] = draw(st.sampled_from([0.0, -0.0]))
+    return sfn(vals), efn(table)
+
+
+def negative_zeros(fn):
+    """fn with every zero -0.0: the same values, so the same memberships."""
+    return SampledFn(fn.grid, np.where(fn.values == 0.0, -0.0, fn.values))
+
+
+class TestZerosArePositive:
+    @given(signed_zero_case())
+    @settings(max_examples=300, deadline=None)
+    def test_every_returned_zero_is_positive(self, case):
+        # the operators' inputs hold -0.0 in f, in the table and, for the
+        # sandwiches and brackets, in the members given as bounds
+        f, phi = case
+        mono = negative_zeros(monotone_lower_envelope(f, phi))
+        hold = negative_zeros(holder_lower_envelope(f, phi))
+        mono_pair = monotone_bracket(mono, phi, cover(phi))
+        hold_pair = holder_bracket(hold, phi, cover(phi))
+        outs = [
+            monotone_lower_envelope(f, phi),
+            monotone_upper_envelope(f, phi),
+            holder_lower_envelope(f, phi),
+            holder_upper_envelope(f, phi),
+            monotone_sandwich(mono, f, phi)[0],
+            holder_sandwich(hold, f, phi)[0],
+            mono_pair.lower,
+            mono_pair.upper,
+            hold_pair.lower,
+            hold_pair.upper,
+        ]
+        for out in outs:
+            assert not np.signbit(out.values[out.values == 0.0]).any()
+        # an infeasible Hölder sandwich takes its witness rhs from the envelope
+        _, w = holder_sandwich(SampledFn(f.grid, hold.values + 1.0), f, phi)
+        assert w.rhs != 0.0 or math.copysign(1.0, w.rhs) == 1.0
 
 
 @st.composite
@@ -766,21 +819,20 @@ def linear_sigma_case(draw):
 
 
 class TestLinearSigmaKernel:
-    """`_forward_min` on linear sigma must give the quadratic loop's bits,
+    """`_forward_min` on linear sigma must give the quadratic loop's values,
     whether it runs the candidate kernel or falls back to the loop; so must
-    the strict bracket row built on it (skip 1)."""
+    the strict bracket row built on it (skip 1).  Values are compared with
+    every zero made +0.0, as the operators return them."""
 
     @given(linear_sigma_case())
     @settings(max_examples=400, deadline=None)
     def test_bit_equal_to_loop(self, case):
         kind, v, sigma, skip = case
-        want = loop_forward_min(v, sigma, skip)
+        want = loop_forward_min(v, sigma, skip) + 0.0
         got = _forward_min(v, sigma) if skip == 0 else _strict_min(v, sigma)
-        assert same_bits(got, want)
+        assert same_bits(got + 0.0, want)
         s = _linear_shift(sigma, len(v))
         fast = None if s is None else _forward_linear(v, sigma, s)
-        if kind == "negzero":
-            assert fast is None  # a -0.0 sum could break a tie's sign
         n = len(v)
         if kind == "plateau" and n * (n - 1) // 2 > _CANDIDATES_PER_NODE * n:
             assert fast is None  # every pair ties: the loop must take over
@@ -795,20 +847,22 @@ class TestLinearSigmaKernel:
         "v, sigma",
         [
             ([-0.0, 0.0, -0.0, -0.0], [0.5, 0.0, -0.0, -0.0]),
-            # here the candidate kernel would return +0.0 where the loop's
-            # minimum is -0.0
+            # here the candidate kernel returns +0.0 where the loop's minimum
+            # is -0.0: equal values
             (
                 [-0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
                 [0.5, 0.0] + [-0.0] * 7,
             ),
         ],
     )
-    def test_negative_zero_past_offset_one_falls_back(self, v, sigma):
+    def test_negative_zero_table_is_linear(self, v, sigma):
         # c = +0.0 with -0.0 further out, as a shifted table sigma[1:] can
-        # hold: array_equal takes it for linear, the sign bit must not
+        # hold: its values are linear, so the O(N) path runs
         v, sigma = np.array(v), np.array(sigma)
-        assert _linear_shift(sigma, len(v)) is None
-        assert same_bits(_forward_min(v, sigma), loop_forward_min(v, sigma, 0))
+        assert _linear_shift(sigma, len(v)) == 0
+        fast = _forward_linear(v, sigma, 0)
+        assert fast is not None
+        assert same_bits(fast + 0.0, loop_forward_min(v, sigma, 0) + 0.0)
 
     @pytest.mark.parametrize(
         "v, c, sigma0",
@@ -826,27 +880,16 @@ class TestLinearSigmaKernel:
         assert _forward_linear(v, sigma, 0) is None
         assert same_bits(_forward_min(v, sigma), loop_forward_min(v, sigma, 0))
 
-    @staticmethod
-    def _count_loop_calls(monkeypatch):
-        calls = []
-
-        def counting(v, sigma, *shift):
-            calls.append(len(v))
-            return _forward_min_loop(v, sigma, *shift)
-
-        monkeypatch.setattr(function_envelopes, "_forward_min_loop", counting)
-        return calls
-
     def test_power_table_skips_the_loop(self, monkeypatch):
         n = 5000
         step = 1.0 / (n - 1)
         phi = power_error(PowerErrorSpec(1.0, 1.5), step, n)
         rng = np.random.default_rng(5000)
         f = SampledFn(Grid(0.0, step, n), np.cumsum(rng.normal(size=n)) / np.sqrt(n))
-        calls = self._count_loop_calls(monkeypatch)
+        masks = record_settled_rows(monkeypatch)
         lo = monotone_lower_envelope(f, phi)
         hi = monotone_upper_envelope(f, phi)
-        assert calls == []
+        assert masks == []
         sigma = subadditive_envelope(phi).values
         assert same_bits(lo.values, loop_forward_min(f.values, sigma, 0))
         assert same_bits(hi.values, loop_monotone_upper(f.values, sigma))
@@ -855,9 +898,9 @@ class TestLinearSigmaKernel:
         n = 200
         phi = efn(np.arange(n) * 0.25)
         f = sfn(-(np.arange(n) * 0.25))
-        calls = self._count_loop_calls(monkeypatch)
+        masks = record_settled_rows(monkeypatch)
         out = monotone_lower_envelope(f, phi)
-        assert calls == [n]
+        assert [len(m) for m in masks] == [n]
         assert np.array_equal(out.values, f.values)
 
     def test_two_node_bracket(self):
@@ -879,9 +922,9 @@ class TestLinearSigmaKernel:
         phi = power_error(PowerErrorSpec(1.0, 1.0), step, n)
         rng = np.random.default_rng(5002)
         f = SampledFn(Grid(0.0, step, n), np.cumsum(rng.uniform(-0.5, 0.5, n)) * step)
-        calls = self._count_loop_calls(monkeypatch)
+        masks = record_settled_rows(monkeypatch)
         pair = holder_bracket(f, phi, phi)
-        assert calls == []
+        assert masks == []
         alpha = absolutely_subadditive_envelope(phi).values
         assert same_bits(pair.upper.values, loop_forward_min(f.values, alpha, 1 - n))
 
@@ -897,9 +940,9 @@ class TestLinearSigmaKernel:
         rng = np.random.default_rng(5003)
         walk = SampledFn(Grid(0.0, step, n), np.cumsum(rng.normal(size=n)) / np.sqrt(n))
         member = SampledFn(walk.grid, 0.5 * monotone_lower_envelope(walk, phi).values)
-        calls = self._count_loop_calls(monkeypatch)
+        masks = record_settled_rows(monkeypatch)
         pair = monotone_bracket(member, phi, psi)
-        assert calls == []
+        assert masks == []
         sigma = subadditive_envelope(phi).values
         lower, upper = loop_monotone_bracket(member.values, sigma)
         assert same_bits(pair.lower.values, lower + 0.0)
@@ -956,9 +999,9 @@ class TestRoundingTest:
         # the linear part of row i runs over j >= i + 1 - s
         want = loop_forward_min(v, table, 1 - s)[: len(ok)]
         assert same_bits(cand[ok], want[ok])
-        full = loop_forward_min(v, table, 0)
-        assert same_bits(_forward_min_loop(v, table, s), full)
-        assert same_bits(_forward_min(v, table), full)
+        full = loop_forward_min(v, table, 0) + 0.0
+        assert same_bits(settle_and_loop(v, table) + 0.0, full)
+        assert same_bits(_forward_min(v, table) + 0.0, full)
 
     @staticmethod
     def _band_edge():
@@ -986,7 +1029,21 @@ class TestRoundingTest:
         cand, ok = _rounding_rows(v, table, s)
         want = loop_forward_min(v, table, 1 - s)[: len(ok)]
         assert same_bits(cand[ok], want[ok])
-        assert same_bits(_forward_min_loop(v, table, s), loop_forward_min(v, table, 0))
+        full = loop_forward_min(v, table, 0) + 0.0
+        assert same_bits(settle_and_loop(v, table) + 0.0, full)
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_zero_candidate_never_settles(self, s):
+        # W[j] = v[j] + (j+s)*c is 3c at every node, so row i's candidate is
+        # (3-i)*c, exactly: every row settles but row 3, whose candidate is
+        # zero and has no half-gap below it
+        c, n = 0.25, 8
+        table = np.arange(s, n + s) * c
+        cand, ok = _rounding_rows(3 * c - table, table, s)
+        assert cand[3] == 0.0 and not ok[3]
+        assert ok[:3].all() and ok[4:].all()
+        zeros = np.array([0.0, -0.0, -0.0, 0.0])
+        assert not _rounding_rows(zeros, zeros, s)[1].any()
 
     @pytest.mark.parametrize("p, share", [(1.0, 0.25), (1.5, 0.9), (2.0, 0.9)])
     def test_member_rows_settle(self, p, share):
@@ -1065,39 +1122,42 @@ def row_case(draw):
 
 
 class TestSettledRows:
-    """`_forward_min_loop` takes a row's nearest candidate when no other can
-    undercut it, and must keep the full loop's bits; so must the strict
-    (start 1) and two-sided (start 1 - N) rows built on the kernel."""
+    """The row loop takes a row's nearest candidate when no other can
+    undercut it, and must keep the full loop's values; so must the strict
+    (start 1) and two-sided (start 1 - N) rows built on the kernel.  Values
+    are compared with every zero made +0.0, as the operators return them."""
 
     @given(row_case())
     @settings(max_examples=400, deadline=None)
     def test_bit_equal_to_the_loop(self, case):
         v, table, start = case
-        want = loop_forward_min(v, table, start)
+        want = loop_forward_min(v, table, start) + 0.0
         if start == 0:
-            got = _forward_min_loop(v, table)
+            got = settle_and_loop(v, table)
         elif start == 1:
             got = _strict_min(v, table)
-        else:  # the two-sided row returns every zero as +0.0
-            got, want = _two_sided_min(v, table), want + 0.0
-        assert same_bits(got, want)
+        else:
+            got = _two_sided_min(v, table)
+        assert same_bits(got + 0.0, want)
 
     @pytest.mark.parametrize(
         "v, table, start",
         [
             ([0.0, -0.5], [0.0, 0.25], 0),  # undercut at the next offset
             ([0.0, 0.0, -1.0], [0.0, 0.5, 0.25], 1),  # the same past the strict start
-            ([0.0, 0.0, -0.0], [0.0, 0.0, -0.0], 1),  # a ±0.0 tie past it
-            ([0.0, -0.0], [0.0, -0.0], 0),  # +0.0 nearest, -0.0 next: a tie
+            ([0.0, 0.0, -0.0], [0.0, 0.0, -0.0], 1),  # a ±0.0 tie past it: settles
+            ([0.0, -0.0], [0.0, -0.0], 0),  # +0.0 nearest, -0.0 next: a tie, settles
         ],
     )
     def test_nearest_candidate_undercut(self, v, table, start):
-        # the strict row is the kernel on v[1:] and table[1:]
+        # a row stays open exactly when another candidate is strictly below
+        # its nearest one; the strict row is the kernel on v[1:] and table[1:]
         v, table = np.array(v), np.array(table)
+        want = loop_forward_min(v, table, start)
         near, settled = function_envelopes._settled_rows(v[start:], table[start:])
-        assert not settled[0]
-        got = _forward_min_loop(v, table) if start == 0 else _strict_min(v, table)
-        assert same_bits(got, loop_forward_min(v, table, start))
+        assert settled[0] == (near[0] == want[0])
+        got = settle_and_loop(v, table) if start == 0 else _strict_min(v, table)
+        assert same_bits(got + 0.0, want + 0.0)
 
     def test_flat_member_bracket_runs_no_loop_row(self, monkeypatch):
         # the member's oscillation stays below the least off-diagonal cost,
