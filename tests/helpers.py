@@ -14,7 +14,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from approxmono import error_envelopes, function_envelopes
+from approxmono import error_envelopes, function_envelopes, individual
 from approxmono import (
     ErrorFn,
     Grid,
@@ -303,6 +303,35 @@ def record_settled_rows(monkeypatch) -> list[np.ndarray]:
 
     monkeypatch.setattr(function_envelopes, "_settled_rows", recording)
     return masks
+
+
+def record_tiles(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap the individual tables' tile evaluation; each tile the kernel
+    evaluates appends its first offset and first position."""
+    tile_rows = individual._tile_rows
+    tiles: list[tuple[int, int]] = []
+
+    def recording(v, ahead, k0, k1, i0, i1):
+        tiles.append((k0, i0))
+        return tile_rows(v, ahead, k0, k1, i0, i1)
+
+    monkeypatch.setattr(individual, "_tile_rows", recording)
+    return tiles
+
+
+@np.errstate(over="ignore")
+def loop_individual(values, kind: str) -> np.ndarray:
+    """The individual table by one numpy call per offset k >= 1: the largest
+    ``f[i] - f[i+k]`` clamped at 0 (kind ``sigma``), or the largest
+    ``|f[i] - f[i+k]|`` (kind ``alpha``); 0 at offset 0.  An increment past
+    the double range is left as inf."""
+    v = np.asarray(values, dtype=float)
+    n = len(v)
+    out = np.zeros(n)
+    for k in range(1, n):
+        d = v[: n - k] - v[k:]
+        out[k] = np.maximum(d.max(), 0.0) if kind == "sigma" else np.abs(d).max()
+    return out
 
 
 def brute_grid_distances(table, n: int) -> np.ndarray:

@@ -38,7 +38,7 @@ from approxmono import (
     subadditive_envelope,
     total_phi_variation,
 )
-from approxmono import scan
+from approxmono import individual, scan
 from approxmono.grid import _star_shaped
 from helpers import (
     brute_alpha,
@@ -52,6 +52,7 @@ from helpers import (
     rand_error,
     rand_fn,
     record_settled_rows,
+    record_tiles,
 )
 
 
@@ -412,6 +413,19 @@ def test_c13_performance(monkeypatch):
     scans.clear()
     ok = timed("noisy linear subadditivity", lambda: is_subadditive(ErrorFn(1.0, noisy)))
     assert ok == (True, None) and scans == [1]
+
+    # the individual tables of a 20000-node walk: the kernel evaluates under
+    # 40% of its tiles per table (alpha runs it on f and on -f)
+    big = 20000
+    blocks = -(-big // individual._SIDE)
+    tiles_per_table = blocks * (blocks + 1) // 2
+    long_walk = SampledFn(Grid(0.0, 1.0, big), np.cumsum(rng.normal(size=big)))
+    tiles = record_tiles(monkeypatch)
+    timed("individual sigma", lambda: individual_sigma(long_walk))
+    assert len(tiles) < 0.4 * tiles_per_table
+    tiles.clear()
+    timed("individual alpha", lambda: individual_alpha(long_walk))
+    assert len(tiles) < 0.4 * 2 * tiles_per_table
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxmono import (
     ErrorFn,
@@ -15,7 +18,21 @@ from approxmono import (
     monotone_lower_envelope,
     subadditive_envelope,
 )
-from helpers import dyadic, mono_member, rand_error, rand_fn
+from approxmono import individual
+from helpers import (
+    dyadic,
+    loop_individual,
+    mono_member,
+    rand_error,
+    rand_fn,
+    record_tiles,
+    same_bits,
+)
+
+SIDE = individual._SIDE
+
+# Sizes below, at and just past one tile, and into a third block of offsets.
+SIZES = [2, 3, SIDE - 1, SIDE, SIDE + 1, 2 * SIDE + 1]
 
 
 def sfn(vals, step=1.0):
@@ -146,3 +163,64 @@ class TestIndividualAlpha:
             n = int(rng.integers(2, 12))
             f = rand_fn(rng, Grid(0.0, 1.0, n))
             assert is_subadditive(individual_alpha(f), 0.0)[0]
+
+
+@st.composite
+def samples(draw) -> np.ndarray:
+    """Values of one kind at one of SIZES; walks and waves at magnitudes from
+    1e-300 to 1e300, and values up to 1e308 whose increments overflow."""
+    n = draw(st.sampled_from(SIZES))
+    kind = draw(st.sampled_from(["walk", "wave", "plateaus", "ties", "zeros", "huge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    if kind == "walk":
+        return scale * np.cumsum(rng.normal(size=n))
+    if kind == "wave":  # many offsets reach their maximum at several positions
+        period = draw(st.integers(2, 2 * SIDE))
+        return scale * np.sin(2 * np.pi * np.arange(n) / period)
+    if kind == "plateaus":  # constant runs of random lengths
+        runs = rng.integers(1, 2 * SIDE, n)
+        return np.repeat(rng.normal(size=n), runs)[:n]
+    if kind == "ties":
+        return rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], n)
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0], n)
+    return rng.choice([-1e308, -6e307, 0.0, 6e307, 1e308], n)
+
+
+class TestTiledKernelMatchesTheLoop:
+    # The kernel's own side, and a side of 3, under which the same sizes hold
+    # up to 86 blocks of offsets and most tiles are pruned.
+    @pytest.mark.parametrize("side", [SIDE, 3])
+    @given(samples(), st.sampled_from(["sigma", "alpha"]))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_sign_bits_included(self, side, v, kind):
+        want = loop_individual(v, kind)
+        op = individual_sigma if kind == "sigma" else individual_alpha
+        with warnings.catch_warnings(), mock.patch.object(individual, "_SIDE", side):
+            warnings.simplefilter("error")
+            if not np.all(np.isfinite(want)):
+                with pytest.raises(OverflowError, match="overflows the double range"):
+                    op(sfn(v))
+                return
+            got = op(sfn(v)).values
+        assert same_bits(got, want)
+
+    def test_walk_evaluates_few_tiles(self, monkeypatch):
+        n = 5000
+        blocks = -(-n // SIDE)
+        tiles_per_table = blocks * (blocks + 1) // 2
+        f = sfn(np.cumsum(np.random.default_rng(2101).normal(size=n)))
+        tiles = record_tiles(monkeypatch)
+        sigma = individual_sigma(f).values
+        assert len(set(tiles)) == len(tiles) < 0.4 * tiles_per_table
+        tiles.clear()
+        alpha = individual_alpha(f).values  # the kernel on f and on -f
+        assert len(tiles) < 0.4 * 2 * tiles_per_table
+        assert same_bits(sigma, loop_individual(f.values, "sigma"))
+        assert same_bits(alpha, loop_individual(f.values, "alpha"))
+
+    def test_constant_evaluates_no_tile(self, monkeypatch):
+        tiles = record_tiles(monkeypatch)
+        out = individual_alpha(sfn(np.full(3 * SIDE, 7.0)))
+        assert tiles == [] and same_bits(out.values, np.zeros(3 * SIDE))
