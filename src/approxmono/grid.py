@@ -250,7 +250,8 @@ def _magnitude(x: np.ndarray) -> float:
 
 def _certified_pass(excess: float, n: int, scale: float, tol: float) -> bool:
     """True only when ``excess + delta <= tol``, where
-    ``delta = 2^-50 * n * (scale + tol) + 2^-1070``; False on inf or NaN.
+    ``delta = 2^-50 * n * (scale + tol) + 2^-1070``; False on an excess of
+    inf, NaN or -inf (a maximum over no term, or over overflowed ones).
 
     ``excess`` is a float-computed bound on every exact margin of a check
     over n nodes, and ``scale`` bounds the sum of its operands' magnitudes.
@@ -259,7 +260,7 @@ def _certified_pass(excess: float, n: int, scale: float, tol: float) -> bool:
     the scan finds no margin above tol: ``(True, None)`` is the scan's answer.
     """
     delta = 2.0**-50 * n * (scale + tol) + 2.0**-1070
-    return bool(excess + delta <= tol)
+    return math.isfinite(excess) and bool(excess + delta <= tol)
 
 
 @np.errstate(over="ignore")  # an overflowing step fails the certificate

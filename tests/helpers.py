@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -370,6 +371,37 @@ def brute_relative_margin(v, w, n: int, first: int = 1) -> float:
         for j in range(first, n)
         for k in range(n - j)
     )
+
+
+def exact_relative_margin(v, w, n: int):
+    """Largest exact ``v[j+k] - v[j] - w[k]`` over j, k >= 1 and j+k < n, a
+    Fraction, or -inf when there is no such pair."""
+    return max(
+        (
+            Fraction(v[j + k]) - Fraction(v[j]) - Fraction(w[k])
+            for j in range(1, n)
+            for k in range(1, n - j)
+        ),
+        default=-math.inf,
+    )
+
+
+def nudge_across(values, t: int, up: bool = True) -> np.ndarray:
+    """A copy of the table with entry t >= 2 one ulp across its
+    subadditivity bound ``min over 0 < j < t of values[j] + values[t-j]``,
+    compared exactly: the least float above the bound (up, so an exact
+    margin is positive), or the largest float at or below it."""
+    v = np.array(values, dtype=float)
+    bound = min(Fraction(v[j]) + Fraction(v[t - j]) for j in range(1, t))
+    x = float(bound)
+    if up:
+        while Fraction(x) <= bound:
+            x = float(np.nextafter(x, math.inf))
+    else:
+        while Fraction(x) > bound:
+            x = float(np.nextafter(x, -math.inf))
+    v[t] = x
+    return v
 
 
 def brute_signed_margin(v, w, n: int) -> float:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from approxmono import error_envelopes, function_envelopes, scan
+from approxmono import error_envelopes, function_envelopes, grid, scan
 from approxmono import (
     ErrorFn,
     Grid,
@@ -25,6 +25,7 @@ from approxmono import (
     power_error,
     subadditive_envelope,
 )
+from approxmono.grid import _star_shaped
 from helpers import (
     SCALE,
     bellman_ford_alpha,
@@ -35,15 +36,18 @@ from helpers import (
     count_label_rounds,
     dense_label_setting,
     dyadic,
+    exact_relative_margin,
     heap_alpha,
     largest_margin,
     loop_sigma,
+    nudge_across,
     rand_concave_increasing_error,
     rand_error,
     rand_fn,
     relative_rows,
     same_bits,
     scan_relative,
+    scan_signed,
     separating_step_fn,
     star_shaped_table,
 )
@@ -275,7 +279,8 @@ class TestWindowCertificate:
         # at tol = 1e-9 every pass of a linear or convex power table against
         # itself or its last-window steps (some scaled up by 1e-6) is
         # certified, and no failure is; at tol = 0 the rounding allowance
-        # declines every case
+        # declines every case whose largest margin with k >= 1 is 0 up to
+        # rounding, and a scaled-up w passes only where the scan does
         rng = np.random.default_rng(1301)
         fired = 0
         for _ in range(200):
@@ -283,11 +288,13 @@ class TestWindowCertificate:
             p = float(rng.choice([1.0, 1.5, 2.0]))
             v = power_error(PowerErrorSpec(1.0, p), 1.0 / (n - 1), n).values
             w = v[n - 1] - v[::-1] if rng.random() < 0.5 else v
-            if rng.random() < 0.3:
+            scaled = rng.random() < 0.3
+            if scaled:
                 w = w * (1.0 + 1e-6 * rng.random(n))
             passed = scan_relative(v, w, n, 1e-9) is None
             assert error_envelopes._window_pass(v, w, n, 1e-9) == passed
-            assert not error_envelopes._window_pass(v, w, n, 0.0)
+            at_zero = error_envelopes._window_pass(v, w, n, 0.0)
+            assert not at_zero or (scaled and scan_relative(v, w, n, 0.0) is None)
             fired += passed
         assert fired > 50
 
@@ -359,6 +366,242 @@ class TestWindowCertificate:
                 assert not ok and scans == [1]
                 scans.clear()
                 assert w.indices == scan_relative(phi.values, phi.values, n, 1e-9)
+
+
+def own_envelope_values(rng: np.random.Generator, max_size: int = 40) -> np.ndarray:
+    """A non-dyadic table at magnitude 1e-3 to 1e6 around the window
+    certificate's concave form.  Kinds: power tables with p <= 1 and the
+    cumulative sums of nonincreasing steps (concave, nondecreasing); concave
+    humps, whose steps turn negative (subadditive, not monotone); plateaus,
+    a ramp that turns flat; linear tables.  A third are nudged one ulp
+    across subadditivity at one offset, either way; a quarter have a value
+    at 0 below phi[1]; a third have every zero as -0.0."""
+    n = int(rng.integers(2, max_size + 1))
+    scale = 10.0 ** rng.uniform(-3, 6)
+    kind = rng.choice(["power", "concave", "hump", "plateau", "linear"])
+    if kind == "power":
+        spec = PowerErrorSpec(scale, rng.uniform(0.05, 1.0))
+        v = power_error(spec, rng.uniform(0.01, 1.0), n).values.copy()
+    elif kind in ("concave", "hump"):
+        steps = np.sort(rng.uniform(-1.0 if kind == "hump" else 0.0, 1.0, n - 1))
+        steps = steps[::-1] * scale
+        down = steps < 0
+        if steps.sum() < 0:  # keep the end of the hump above 0
+            steps[down] *= rng.uniform(0.0, 0.99) * steps[~down].sum() / -steps[down].sum()
+        v = np.concatenate([[0.0], np.cumsum(steps)])
+    else:
+        ramp = np.arange(n, dtype=float)
+        if kind == "plateau":
+            ramp = np.minimum(ramp, rng.integers(1, n))
+        v = ramp * (scale * rng.uniform(0.1, 1.0))
+    if n >= 3 and rng.random() < 1 / 3:
+        v = nudge_across(v, int(rng.integers(2, n)), bool(rng.random() < 0.5))
+    if rng.random() < 0.25:
+        v[0] = rng.uniform(0.0, 1.0) * v[1]
+    if rng.random() < 1 / 3:
+        v[v == 0.0] = -0.0
+    return v
+
+
+def own_envelope_table(max_size: int = 40):
+    return st.integers(0, 2**32 - 1).map(
+        lambda seed: own_envelope_values(np.random.default_rng(seed), max_size)
+    )
+
+
+@st.composite
+def own_window_case(draw):
+    """(v, w, n, tol) for the window certificate: an `own_envelope_values`
+    table, against itself or itself scaled by up to 1e-6 either way, with
+    tol fixed, or at the largest float margin or one ulp either side."""
+    v = draw(own_envelope_table(24))
+    n = len(v)
+    w = v * draw(st.sampled_from([1.0, 1.0 + 1e-6, 1.0 - 1e-6, 1.0 - 1e-15]))
+    most = largest_margin(n, relative_rows(v, w, n), 1)
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, "below", "most", "above"]))
+    if isinstance(tol, str):
+        tol = {"below": np.nextafter(most, -np.inf), "most": most}.get(
+            tol, np.nextafter(most, np.inf)
+        )
+    return v, w, n, max(float(tol), 0.0)
+
+
+@np.errstate(over="ignore")
+def dense_alpha(v) -> np.ndarray:
+    """α by all N rounds of dense label setting on the folded rows."""
+    start = np.concatenate([[0.0], np.full(len(v) - 1, np.inf)])
+    out, _ = dense_label_setting(start, folded_rows(v)[0])
+    out[0] = min(float(v[0]), float((out[1:] + v[1:]).min()))
+    return out
+
+
+class TestSubadditiveTablesAreTheirOwnEnvelopes:
+    """A table that the window certificate proves subadditive at tol = 0 is
+    its own sigma, and its own alpha when it is also nondecreasing; on such
+    a table the absolute check is the subadditivity check.  Every output
+    must stay the oracles' bit for bit, on tables that take those paths and
+    on tables one ulp away from them."""
+
+    @given(own_envelope_table())
+    @settings(max_examples=400, deadline=None)
+    def test_sigma_equals_the_loop(self, v):
+        got = subadditive_envelope(ErrorFn(1.0, v)).values
+        if _star_shaped(v):  # the closed form k * phi[1], within rounding
+            gap = np.abs(got - loop_sigma(v)).max()
+            assert gap <= len(v) * 2.0**-52 * v.max()
+            return
+        assert same_bits(got, loop_sigma(v))
+        if len(v) <= 10:
+            assert np.array_equal(got, brute_sigma(v))
+
+    @given(own_envelope_table())
+    @settings(max_examples=400, deadline=None)
+    def test_alpha_equals_dense_label_setting(self, v):
+        got = absolutely_subadditive_envelope(ErrorFn(1.0, v)).values
+        assert same_bits(got, dense_alpha(v))
+        if len(v) <= 6 and v[1:].min() > 0:
+            assert np.array_equal(got, brute_alpha(v))
+
+    @given(own_envelope_table(), st.sampled_from([0.0, 1e-9]))
+    @settings(max_examples=400, deadline=None)
+    def test_absolute_check_equals_the_scan(self, v, tol):
+        n = len(v)
+        ok, w = is_absolutely_subadditive(ErrorFn(1.0, v), tol)
+        want = scan_signed(v, v, n, tol)
+        assert ok == (want is None)
+        assert (w is None) == ok
+        if w is not None:
+            j, k = w.indices
+            assert (j, k) == want
+            assert (w.lhs, w.rhs) == (v[abs(j + k)], v[j] + v[abs(k)])
+        if n <= 12:
+            most = brute_signed_margin(v, v, n)
+            assert ok == (most <= tol)
+            if w is not None:
+                assert (v[abs(j + k)] - v[j]) - v[abs(k)] == most
+
+    @given(st.one_of(window_case(), own_window_case()))
+    @settings(max_examples=500, deadline=None)
+    def test_either_form_passes_only_within_tol(self, case):
+        # the certificate passes when either form does, and each form alone
+        # is sound: a pass bounds every float margin of the scan and every
+        # exact margin by tol
+        v, w, n, tol = case
+        x = v[1:n]
+        scale = grid._magnitude(x) + grid._magnitude(w[: n - 1])
+        passes = [
+            grid._certified_pass(
+                error_envelopes._last_window_excess(y, w, k0), n, scale, tol
+            )
+            for y, k0 in ((x, 0), (-x[::-1], 1))
+        ]
+        assert error_envelopes._window_pass(v, w, n, tol) == any(passes)
+        if any(passes):
+            most = (
+                brute_relative_margin(v, w, n)
+                if n <= 12
+                else largest_margin(n, relative_rows(v, w, n), 1)
+            )
+            assert most <= tol
+            assert exact_relative_margin(v, w, n) <= tol
+
+    def test_paths_taken_and_declined(self):
+        # the fast paths fire on a good share of the tables, only where every
+        # exact margin with j, k >= 1 is negative; a hump, or a nudge that
+        # breaks monotonicity, keeps alpha on label setting
+        rng = np.random.default_rng(2201)
+        sigma_fast = alpha_fast = 0
+        for _ in range(600):
+            v = own_envelope_values(rng)
+            n = len(v)
+            certified = error_envelopes._window_pass(v, v, n, 0.0)
+            if certified:
+                assert exact_relative_margin(v, v, n) < 0
+            if not np.all(v[1:] >= v[:-1]):
+                assert not error_envelopes._nondecreasing_pass(v, 0.0)
+            sigma_fast += certified and not _star_shaped(v)
+            alpha_fast += error_envelopes._nondecreasing_pass(v, 0.0)
+        assert sigma_fast > 100 and alpha_fast > 100
+
+    def test_hump_is_its_own_sigma_but_not_its_own_alpha(self, monkeypatch):
+        v = np.array([0.0, 2.0, 3.0, 3.5, 3.0, 0.5])
+        loop = error_envelopes._sigma_loop
+        calls = []
+        monkeypatch.setattr(
+            error_envelopes, "_sigma_loop", lambda t: calls.append(1) or loop(t)
+        )
+        assert same_bits(subadditive_envelope(ErrorFn(1.0, v)).values, v)
+        assert calls == []
+        alpha = absolutely_subadditive_envelope(ErrorFn(1.0, v)).values
+        # 4 = 5 - 1 costs 0.5 + 2.0, below v[4] = 3
+        assert alpha[4] == 2.5
+        assert same_bits(alpha, dense_alpha(v))
+        assert np.array_equal(alpha, brute_alpha(v))
+
+    def test_smallest_tables_decline_without_raising(self):
+        # N = 2 leaves the concave form no k >= 1: its excess is -inf, which
+        # `_certified_pass` declines; the convex form passes [0.5, 0.7],
+        # whose one margin, at k = 0, is -0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v, certified in (([0.0, 1.0], False), ([0.0, -0.0], False),
+                                 ([0.5, 0.7], True), ([0.0, 0.7, 1.2], True)):
+                v = np.array(v)
+                n = len(v)
+                if n == 2:
+                    excess = error_envelopes._last_window_excess(-v[1:][::-1], v, 1)
+                    assert excess == -np.inf
+                    assert not grid._certified_pass(excess, n, 1.0, 0.0)
+                assert error_envelopes._window_pass(v, v, n, 0.0) == certified
+                got = subadditive_envelope(ErrorFn(1.0, v)).values
+                assert same_bits(got, loop_sigma(v))
+                got = absolutely_subadditive_envelope(ErrorFn(1.0, v)).values
+                assert same_bits(got, dense_alpha(v))
+
+    def test_linear_tables_and_plateaus_decline_at_zero(self, monkeypatch):
+        # fl(2c) = 2c, so the margin (1, 1) of a ramp of two or more steps
+        # is exactly 0: no sound certificate passes it at tol = 0; sigma of
+        # a plateau runs its loop, a linear table takes the closed form
+        loop = error_envelopes._sigma_loop
+        calls = []
+        monkeypatch.setattr(
+            error_envelopes, "_sigma_loop", lambda t: calls.append(1) or loop(t)
+        )
+        for n in (3, 4, 17, 40):
+            for c in (0.1, 0.3, 1 / 3, 7e5 / 3):
+                for top in (n, 2, max(2, n // 2)):
+                    v = np.minimum(np.arange(n), top) * c
+                    assert not error_envelopes._window_pass(v, v, n, 0.0)
+                    assert error_envelopes._window_pass(v, v, n, 1e-6 * c)
+                    calls.clear()
+                    got = subadditive_envelope(ErrorFn(1.0, v)).values
+                    if not _star_shaped(v):  # else the closed form k * phi[1]
+                        assert calls == [1]
+                        assert same_bits(got, loop_sigma(v))
+
+    def test_nondecreasing_sigma_and_alpha_agree_within_rounding(self):
+        # equal in exact arithmetic on a nondecreasing table; in floats within
+        # N * 2^-52 * max phi, not always bit for bit; and both equal the
+        # table when the certificate passes (alpha with +0.0 past offset 0)
+        rng = np.random.default_rng(2202)
+        differ = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 40))
+            v = np.concatenate([[0.0], np.cumsum(rng.uniform(0, 1, n - 1))])
+            v *= 10.0 ** rng.uniform(-3, 6)
+            sigma = subadditive_envelope(ErrorFn(1.0, v)).values
+            alpha = absolutely_subadditive_envelope(ErrorFn(1.0, v)).values
+            assert np.abs(sigma - alpha).max() <= n * 2.0**-52 * v.max()
+            differ += not np.array_equal(sigma, alpha)
+        assert differ > 0
+        for _ in range(300):
+            v = own_envelope_values(rng)
+            if error_envelopes._nondecreasing_pass(v, 0.0):
+                phi = ErrorFn(1.0, v)
+                assert same_bits(subadditive_envelope(phi).values, v)
+                want = v + 0.0
+                want[0] = v[0]
+                assert same_bits(absolutely_subadditive_envelope(phi).values, want)
 
 
 class TestSubadditiveEnvelope:
@@ -660,7 +903,11 @@ class TestLabelSettingExit:
 
     def test_concave_table_runs_nearly_every_round(self, monkeypatch):
         # phi[1] is the least step and far below the label spread, so the
-        # exit cannot fire early: the dense kernel still does this work
+        # exit cannot fire early: the Hölder envelope still does this work.
+        # alpha of the table itself runs no round, since the window
+        # certificate proves it subadditive and it is nondecreasing; with
+        # its last entry one ulp above the least phi[j] + phi[N-1-j] the
+        # certificate declines, and the dense kernel runs again
         rounds = count_label_rounds(monkeypatch)
         n = 2000
         step = 1.0 / (n - 1)
@@ -668,7 +915,11 @@ class TestLabelSettingExit:
         steps = np.random.default_rng(5).normal(0, n**-0.5, n)
         walk = SampledFn(Grid(0.0, step, n), np.cumsum(steps))
         absolutely_subadditive_envelope(phi)
+        assert rounds == []
         holder_lower_envelope(walk, phi)
+        nudged = ErrorFn(step, nudge_across(phi.values, n - 1))
+        assert not is_subadditive(nudged, 0.0)[0]
+        absolutely_subadditive_envelope(nudged)
         assert len(rounds) == 2 and min(rounds) >= n - 100
 
 
