@@ -7,23 +7,31 @@ makes them idempotent on grids.  All of them run one min-plus row kernel,
 without its loop when no candidate can undercut its own node.  On a linear
 table ``fl((k+s) * c)`` it runs in O(N) when few pairs can hold a row's
 minimum, and otherwise settles every row it can prove by Ziv's rounding
-test, made exact with Dekker's double-double products and sums.  The
-strict bracket row is the kernel on ``f[1:]`` and ``table[1:]``, the Hölder
-bracket row the lesser of the kernel on f and on its reversal; every max
-side is a reflection.  The Hölder envelopes and sandwich use
+test, made exact with Dekker's double-double products and sums.  The rows
+left open are evaluated on tiles of positions by offsets, each bounded
+below from block minima, visited in order of bound and skipped once no
+bound can lower a row; a block with few open rows runs them one by one.
+The strict bracket row is the kernel on ``f[1:]`` and ``table[1:]``, the
+Hölder bracket row the lesser of the kernel on f and on its reversal; every
+max side is a reflection.  The Hölder envelopes and sandwich use
 ``min over j of f[j] + d(j, i)``, with d(j, i) the cheapest path from node j
-to node i through grid nodes, paying ``phi[|u-v|]`` per step u -> v, by label
-setting that stops once no label can be undercut.  The kernels compute
+to node i through grid nodes, paying ``phi[|u-v|]`` per step u -> v.  On a
+table certified subadditive and nondecreasing that is the one-step row
+``min over j of f[j] + phi[|j-i|]`` whenever the same row taken of its
+output gives the output back, which is tested; otherwise label setting
+finds it, stopping once no label can be undercut.  The kernels compute
 values only; each operator returns through `_envelope`, which makes every
 zero +0.0 and raises OverflowError past the double range.  The brackets
-check their table hypotheses with the subadditivity scans of `error_envelopes`,
-the companion table psi on the right; no table is scanned here.
+check their table hypotheses with the subadditivity scans of
+`error_envelopes`, the companion table psi on the right; no table is
+scanned here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
     DEFAULT_TOL,
@@ -43,12 +51,13 @@ from .grid import (
 )
 from .error_envelopes import (
     _label_setting,
+    _nondecreasing_pass,
     _relative_violation,
     _signed_violation,
     absolutely_subadditive_envelope,
     subadditive_envelope,
 )
-from .scan import _diagonal_violation, _shifted_violation
+from .scan import _SIDE, _block_pairs, _blocks, _diagonal_violation, _shifted_violation
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,32 +79,102 @@ def _sigma_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
 
 
 #: Candidate pairs per node beyond which `_forward_linear` hands a call to the
-#: rounding test and the row loop (exact near-ties such as
+#: rounding test and the open rows (exact near-ties such as
 #: ``f[j] = -j * sigma[1]``).
 _CANDIDATES_PER_NODE = 8
 
 #: Veltkamp's splitting constant for doubles, ``2^27 + 1``.
 _SPLIT = 134217729.0
 
+#: Open rows a block of ``_SIDE`` rows needs for `_forward_min` to evaluate
+#: it by tiles; the open rows of a block with fewer run one by one, since a
+#: tile costs a few numpy calls whatever its number of rows.
+_TILE_ROWS = 16
+
 
 @np.errstate(over="ignore")  # an inf sum never undercuts a finite one
 def _forward_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
     """``min over j >= i of v[j] + table[j-i]`` for every i, with the loop's
     values.  A linear table, ``table[k] = fl((k+s) * c)`` (`_linear_shift`),
-    takes the O(N) `_forward_linear` when its candidates are few; otherwise
-    the loop runs every row that `_settled_rows` (with the rounding test on
-    a linear table) leaves open.  A sum past the double range is inf.
-    Callers check the result, as half of a two-sided row may be inf where
-    the whole row is finite."""
+    takes the O(N) `_forward_linear` when its candidates are few.  Otherwise
+    `_settled_rows` (with the rounding test on a linear table) settles what
+    it can; the open rows of a block of ``_SIDE`` rows that holds at least
+    ``_TILE_ROWS`` of them are evaluated by `_tiled_rows`, the others one
+    by one.  A sum past the double range is inf.  Callers check the result,
+    as half of a two-sided row may be inf where the whole row is finite."""
     n = len(v)
     s = _linear_shift(table, n)
     out = None if s is None else _forward_linear(v, table, s)
     if out is not None:
         return out
     out, settled = _settled_rows(v, table, s)  # fresh: open rows are overwritten
-    for i in map(int, np.flatnonzero(~settled)):
+    rows = np.flatnonzero(~settled)
+    block = rows // _SIDE
+    tiled = (np.bincount(block) >= _TILE_ROWS)[block]
+    for i in rows[~tiled].tolist():
         out[i] = (v[i:] + table[: n - i]).min()
+    if tiled.any():
+        _tiled_rows(v, table, out, rows[tiled])
     return out
+
+
+def _tile_mins(
+    ahead: np.ndarray, table: np.ndarray, rows: np.ndarray, k0: int, k1: int
+) -> np.ndarray:
+    """Minima over the offsets k0..k1-1 of ``v[i+k] + table[k]`` for each
+    row i, with ``+inf`` where i + k runs past the end (``ahead`` holds the
+    padded windows of v)."""
+    tile = ahead[rows + k0, : k1 - k0]  # a copy
+    tile += table[k0:k1]
+    return tile.min(axis=1)
+
+
+@np.errstate(over="ignore")  # an inf sum never undercuts a finite one
+def _tiled_rows(
+    v: np.ndarray, table: np.ndarray, out: np.ndarray, rows: np.ndarray
+) -> None:
+    """Lower ``out[i]``, a sum of row i of `_forward_min`, to the row's
+    minimum for the given rows i (ascending), evaluating only the tiles
+    that can hold a smaller sum.
+
+    The (position, offset) plane is cut into tiles of ``_SIDE`` positions
+    by ``_SIDE`` offsets: position block p by offset block q.  For i in
+    block p and k in block q, ``i + k`` lies in blocks p+q and p+q+1, so
+    the tile's bound ``fl(min v[blocks p+q, p+q+1] + min table[block q])``
+    is at most each of its float sums: rounding is monotone.  Positions
+    with ``i + k >= N`` read ``+inf`` from the padding, so their sum is
+    +inf and lowers no row; the tiles with q < nb - p hold every pair
+    i + k < N of block p.
+
+    The given rows of each block visit its tiles in order of ascending
+    bound; each tile is evaluated on those rows and folded into them by
+    ``min``.  The visit stops at the first tile whose bound is at least the
+    largest running row: every sum in it, and in every later tile, is at
+    least each row, so skipping them leaves every row unchanged.  A min
+    does not depend on the order of its operands, so each row ends as the
+    least of its sums: the loop's value (the sign of a zero aside, which
+    `_envelope` fixes).  Inputs are finite, so no sum is NaN.  The bounds
+    and windows are built here, only for a call that has a block to tile.
+    """
+    n = len(v)
+    side = _SIDE
+    nb = -(-n // side)
+    low = _block_pairs(v, side, nb, np.minimum)
+    least = _blocks(table[:n], side, nb, np.minimum)
+    ahead = sliding_window_view(np.concatenate([v, np.full(2 * side, np.inf)]), side)
+    cuts = np.flatnonzero(np.diff(rows // side)) + 1
+    for idx in np.split(rows, cuts):
+        p = int(idx[0]) // side
+        run = out[idx]
+        bound = low[p:] + least[: nb - p]  # the tiles that hold a pair i + k < N
+        order = np.argsort(bound)
+        for q, b in zip(order.tolist(), bound[order].tolist()):
+            if b >= run.max():
+                break
+            k0 = q * side
+            tile = _tile_mins(ahead, table, idx, k0, min(k0 + side, n))
+            np.minimum(run, tile, out=run)
+        out[idx] = run
 
 
 @np.errstate(over="ignore")  # a ramp past the double range is not the table
@@ -228,7 +307,7 @@ def _rounding_rows(v: np.ndarray, table: np.ndarray, s: int):
     return cand, d > band
 
 
-@np.errstate(over="ignore")  # a non-finite quantity sends the call to the loop
+@np.errstate(over="ignore")  # a non-finite quantity declines the call
 def _forward_linear(v: np.ndarray, sigma: np.ndarray, s: int) -> np.ndarray | None:
     """`_forward_min` in O(N), N >= 2, when ``sigma[k] == fl((k+s) * c)`` for
     k >= 1-s, ``c = sigma[1-s]`` (`_linear_shift`); None when candidates are
@@ -302,15 +381,48 @@ def _two_sided_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.minimum(_forward_min(v[::-1], table)[::-1], _forward_min(v, table))
 
 
-def _grid_lower(v: np.ndarray, f: SampledFn, phi: ErrorFn):
-    """``min over j of v[j] + d(j, i)`` and its root j for every node i on f's
-    grid; row u of the costs ``phi[|w-u|]`` is a mirrored slice of the table."""
+def _grid_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
+    """The table cut to f's grid, the step costs of the grid paths."""
     _require_zero_at_origin(phi)
-    t = offsets_table(f, phi)
+    return offsets_table(f, phi)
+
+
+def _grid_paths(v: np.ndarray, t: np.ndarray):
+    """``(labels, roots)`` of label setting from the labels v over the grid
+    costs ``t[|w-u|]``: ``min over j of v[j] + d(j, i)`` and its root j for
+    every node i.  Row u of the costs is a mirrored slice of the table."""
     n = len(t)
     sym = np.concatenate([t[:0:-1], t])
     cmin = float(t[1:].min())
     return _label_setting(v, lambda u: sym[n - 1 - u : 2 * n - 1 - u], cmin)
+
+
+def _grid_lower(v: np.ndarray, t: np.ndarray):
+    """``(labels, roots)`` of `_grid_paths`, ``min over j of v[j] + d(j, i)``
+    for every node i, with roots None when the labels are the one-step row
+    ``R = min over j of v[j] + t[|j-i|]``, taken when it is a fixpoint of
+    that row.
+
+    Why R is then the labels, with ``R = _two_sided_min(v, t)`` equal to
+    ``_two_sided_min(R, t)``.  No label is ever below R: a starting label
+    is ``v[i] = fl(v[i] + t[0]) >= R[i]``, t[0] being a zero, and a
+    candidate ``fl(lab[u] + t[|w-u|])`` is at least ``fl(R[u] + t[|w-u|])``
+    by monotone rounding, hence at least R[w] by the fixpoint.  After all N
+    rounds no label is above R: R[i] is ``fl(v[j] + t[|j-i|])`` for some j,
+    and node j has settled with a label of at most v[j], since labels only
+    fall, so its candidate for i was at most R[i].  `_label_setting` keeps
+    the bits of all N rounds when it exits early, so its labels are R (up
+    to the sign of a zero, which `_envelope` fixes).  The fixpoint test
+    carries this on any table.  It is tried only where `_nondecreasing_pass`
+    certifies the table subadditive and nondecreasing, so that R is the
+    fixpoint in exact arithmetic (``t[|j-w|] <= t[|j-u|] + t[|u-w|]``), and
+    a rough table does not pay for two rows it cannot use.
+    """
+    if _nondecreasing_pass(t, 0.0):
+        r = _two_sided_min(v, t)
+        if np.array_equal(_two_sided_min(r, t), r):
+            return r, None
+    return _grid_paths(v, t)
 
 
 def _backward_max(v: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -361,13 +473,13 @@ def holder_lower_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     ``out[i] = min over all j of f[j] + d(j, i)``, d the grid path cost of the
     module docstring.  Requires the table to vanish at 0.
     """
-    return SampledFn(f.grid, _envelope(_grid_lower(f.values, f, phi)[0]))
+    return SampledFn(f.grid, _envelope(_grid_lower(f.values, _grid_table(f, phi))[0]))
 
 
 def holder_upper_envelope(f: SampledFn, phi: ErrorFn) -> SampledFn:
     """Smallest Hölder-within-phi function above f: the negated lower
     envelope of -f, ``out[i] = max over j of f[j] - d(j, i)``."""
-    return SampledFn(f.grid, _envelope(-_grid_lower(-f.values, f, phi)[0]))
+    return SampledFn(f.grid, _envelope(-_grid_lower(-f.values, _grid_table(f, phi))[0]))
 
 
 def monotone_sandwich(
@@ -413,18 +525,23 @@ def holder_sandwich(
     when g lies below the Hölder lower envelope of h (within tol), which is
     then returned.  Otherwise the witness is the node i where g exceeds the
     envelope most, paired with the root j of its cheapest path:
-    ``lhs = g[i]`` and ``rhs = h[j] + d(j, i)``, the envelope at i.
+    ``lhs = g[i]`` and ``rhs = h[j] + d(j, i)``, the envelope at i.  Only
+    that witness needs roots: where the envelope is the one-step row of
+    `_grid_lower`, an infeasible pair runs label setting for them.
     """
     check_tolerance(tol)
     if not g.grid.compatible(h.grid):
         raise DimensionMismatchError("sandwich bounds must share one grid")
-    env, root = _grid_lower(h.values, h, phi)
+    t = _grid_table(h, phi)
+    env, root = _grid_lower(h.values, t)
     env = _envelope(env)
     gv = g.values
     # one row: (g[p] - 0) - env[p] is g[p] - env[p] exactly
     best = _shifted_violation(gv, np.zeros(1), env, tol)
     if best is not None:
         i = best[1]
+        if root is None:
+            root = _grid_paths(h.values, t)[1]
         j = int(root[i])
         return None, Witness(WitnessKind.SANDWICH, (i, j), float(gv[i]), float(env[i]))
     return SampledFn(h.grid, env), None

@@ -12,12 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import ErrorFn, SampledFn, _finite
-from .scan import _block_pairs, _blocks
-
-#: Side of the square tiles of offsets by positions.  On walks and waves of
-#: 1k-20k nodes it measured as fast as any other side, and faster than the
-#: scans' ``sqrt(N)`` rule below 5k nodes.
-_SIDE = 128
+from .scan import _SIDE, _block_pairs, _blocks
 
 
 def _tile_rows(

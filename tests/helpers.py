@@ -291,9 +291,9 @@ def count_label_rounds(monkeypatch) -> list[int]:
 
 
 def record_settled_rows(monkeypatch) -> list[np.ndarray]:
-    """Wrap the row loop's settle test; each `_forward_min` call that
-    declines its O(N) path appends its mask of settled rows, so the rows the
-    loop ran are the False entries."""
+    """Wrap the row kernel's settle test; each `_forward_min` call that
+    declines its O(N) path appends its mask of settled rows, so the rows
+    left to the tiles or the row loop are the False entries."""
     test = function_envelopes._settled_rows
     masks: list[np.ndarray] = []
 
@@ -317,6 +317,20 @@ def record_tiles(monkeypatch) -> list[tuple[int, int]]:
         return tile_rows(v, ahead, k0, k1, i0, i1)
 
     monkeypatch.setattr(individual, "_tile_rows", recording)
+    return tiles
+
+
+def record_row_tiles(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap the min-plus rows' tile evaluation; each tile `_forward_min`
+    evaluates appends its first position and first offset."""
+    tile_mins = function_envelopes._tile_mins
+    tiles: list[tuple[int, int]] = []
+
+    def recording(ahead, table, rows, k0, k1):
+        tiles.append((int(rows[0]), k0))
+        return tile_mins(ahead, table, rows, k0, k1)
+
+    monkeypatch.setattr(function_envelopes, "_tile_mins", recording)
     return tiles
 
 

@@ -51,6 +51,7 @@ from helpers import (
     rand_concave_increasing_error,
     rand_error,
     rand_fn,
+    record_row_tiles,
     record_settled_rows,
     record_tiles,
 )
@@ -360,8 +361,8 @@ def test_c13_performance(monkeypatch):
     sigma = timed("sigma envelope", lambda: subadditive_envelope(phi))
     timed("monotone check", lambda: is_phi_monotone(f, phi, 1e-9))
     timed("holder check", lambda: is_phi_holder(f, phi, 1e-9))
-    # the row loop settles a row only when its own node cannot be undercut;
-    # on this rough table that is rare, so both budgets time the loop
+    # a row is settled only when its own node cannot be undercut; on this
+    # rough table that is rare, so both budgets time the tiled rows
     masks = record_settled_rows(monkeypatch)
     timed("lower envelope", lambda: monotone_lower_envelope(f, phi))
     timed("upper envelope", lambda: monotone_upper_envelope(f, phi))
@@ -406,6 +407,23 @@ def test_c13_performance(monkeypatch):
         lambda: absolutely_subadditive_envelope(ErrorFn(1.0, raised)),
     )
     assert len(rounds) == 2 and rounds[1] >= 0.9 * m
+    # the Hölder envelope and bracket of the 5000-node walk under the
+    # concave power:1,0.5, which is certified: the envelope is the one-step
+    # row, tested as a fixpoint, so no round runs; each call runs two
+    # two-sided rows, four halves of tiled rows, which must evaluate under
+    # 25% of their tiles
+    concave = power_error(PowerErrorSpec(1.0, 0.5), step, n)
+    rounds.clear()
+    row_tiles = record_row_tiles(monkeypatch)
+    walk_fn = SampledFn(Grid(0.0, step, n), walk)
+    lower = timed(
+        "concave Hölder envelope", lambda: holder_lower_envelope(walk_fn, concave)
+    )
+    cover = ErrorFn(step, np.full(n, float(concave.values[-1])))
+    timed("concave Hölder bracket", lambda: holder_bracket(lower, concave, cover))
+    row_blocks = -(-n // scan._SIDE)
+    halves_tiles = 8 * row_blocks * (row_blocks + 1) // 2
+    assert rounds == [] and len(row_tiles) < 0.25 * halves_tiles
 
     scans = []
     kernel = scan._max_violation

@@ -861,17 +861,23 @@ class TestLabelSettingExit:
     @given(label_case(), st.integers(1, 3))
     @settings(max_examples=200, deadline=None)
     def test_grid_envelope_with_a_longer_table(self, case, extra):
-        # offsets past the grid are cut off before the kernel sees them
+        # offsets past the grid are cut off before the kernel sees them; the
+        # roots are label setting's, and the envelope's labels equal its
+        # labels whether they come from it or from the one-step row
         labels, table = case
         assume(np.isfinite(labels).all())
         if table[0] != 0.0:  # the envelope needs a zero there; keep a -0.0
             table[0] = 0.0
         longer = np.concatenate([table, np.zeros(extra)])
         f = SampledFn(Grid(0.0, 1.0, len(labels)), labels)
-        lab, root = function_envelopes._grid_lower(labels, f, ErrorFn(1.0, longer))
+        t = function_envelopes._grid_table(f, ErrorFn(1.0, longer))
+        lab, root = function_envelopes._grid_paths(labels, t)
         want_lab, want_root = dense_label_setting(labels, grid_rows(table)[0])
         assert same_bits(lab, want_lab)
         assert np.array_equal(root, want_root)
+        env, env_root = function_envelopes._grid_lower(labels, t)
+        assert same_bits(env + 0.0, want_lab + 0.0)
+        assert env_root is None or np.array_equal(env_root, want_root)
 
     def test_exit_waits_for_one_step(self):
         # node 1 at 1.5 is undercut by 0 + 1 after the first round; an exit
@@ -903,11 +909,12 @@ class TestLabelSettingExit:
 
     def test_concave_table_runs_nearly_every_round(self, monkeypatch):
         # phi[1] is the least step and far below the label spread, so the
-        # exit cannot fire early: the Hölder envelope still does this work.
-        # alpha of the table itself runs no round, since the window
-        # certificate proves it subadditive and it is nondecreasing; with
-        # its last entry one ulp above the least phi[j] + phi[N-1-j] the
-        # certificate declines, and the dense kernel runs again
+        # exit cannot fire early.  The table itself runs no round: the
+        # window certificate proves it subadditive and it is nondecreasing,
+        # so it is its own alpha, and the walk's Hölder envelope is the
+        # one-step row, a fixpoint of itself.  With its last entry one ulp
+        # above the least phi[j] + phi[N-1-j] the certificate declines, and
+        # alpha and the envelope run the dense kernel again
         rounds = count_label_rounds(monkeypatch)
         n = 2000
         step = 1.0 / (n - 1)
@@ -915,11 +922,12 @@ class TestLabelSettingExit:
         steps = np.random.default_rng(5).normal(0, n**-0.5, n)
         walk = SampledFn(Grid(0.0, step, n), np.cumsum(steps))
         absolutely_subadditive_envelope(phi)
-        assert rounds == []
         holder_lower_envelope(walk, phi)
+        assert rounds == []
         nudged = ErrorFn(step, nudge_across(phi.values, n - 1))
         assert not is_subadditive(nudged, 0.0)[0]
         absolutely_subadditive_envelope(nudged)
+        holder_lower_envelope(walk, nudged)
         assert len(rounds) == 2 and min(rounds) >= n - 100
 
 

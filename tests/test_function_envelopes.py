@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from approxmono import (
 )
 from approxmono import PowerErrorSpec, function_envelopes, power_error
 from approxmono import scan
-from approxmono.error_envelopes import _signed_violation
+from approxmono.error_envelopes import _nondecreasing_pass, _signed_violation
 from approxmono.function_envelopes import (
     _CANDIDATES_PER_NODE,
     _forward_linear,
@@ -42,6 +43,8 @@ from approxmono.function_envelopes import (
 from helpers import (
     brute_grid_distances,
     brute_grid_holder_lower,
+    count_label_rounds,
+    dense_label_setting,
     dyadic,
     loop_holder_lower,
     loop_holder_upper,
@@ -53,6 +56,7 @@ from helpers import (
     rand_concave_increasing_error,
     rand_error,
     rand_fn,
+    record_row_tiles,
     record_settled_rows,
     scan_check,
     scan_sandwich,
@@ -1253,3 +1257,195 @@ class TestSandwichCertificate:
         g = SampledFn(h.grid, env.values - 0.01 * rng.random(n))
         out, w = monotone_sandwich(g, h, phi)
         assert w is None and same_bits(out.values, env.values)
+
+
+@st.composite
+def tile_case(draw, max_size: int = 700):
+    """(v, table) for the tiled rows, N up to max_size.  Tables: concave,
+    rough, a ramp that turns flat (plateau), quarter-integer (many exact
+    ties), ±0.0 and near the double range (sums overflow to inf); offset 0
+    holds +0.0, -0.0 or its drawn value.  The values are a walk or noise
+    whose spread ranges from far below the table's least step (most rows
+    settle without their loop) to far above it (few do)."""
+    n = draw(st.integers(2, max_size) | st.integers(max_size // 2, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["concave", "rough", "plateau", "ties", "zeros", "huge"]
+    kind = draw(st.sampled_from(kinds))
+    k = np.arange(n)
+    if kind == "concave":
+        table = rng.uniform(0.01, 2.0) * k ** rng.uniform(0.2, 0.9)
+    elif kind == "rough":
+        table = rng.uniform(0.2, 1.0, n)
+    elif kind == "plateau":
+        table = rng.uniform(0.01, 1.0) * np.minimum(k, rng.integers(1, n + 1))
+    elif kind == "ties":
+        table = rng.integers(0, 4, n) * 0.25
+    elif kind == "zeros":
+        table = rng.choice([0.0, -0.0], n)
+    else:
+        table = 1.7e308 * rng.uniform(0.0, 1.0, n)
+    table[0] = draw(st.sampled_from([0.0, -0.0, float(table[0])]))
+    spread = draw(st.sampled_from([1e-3, 0.3, 1.0, 30.0]))
+    if kind == "huge":
+        v = 1.7e308 * rng.uniform(-1.0, 1.0, n)
+    elif kind in ("ties", "zeros"):
+        v = rng.integers(-4, 5, n) * 0.25 * (kind == "ties")
+        v += rng.choice([0.0, -0.0], n)
+    elif draw(st.booleans()):
+        v = spread * np.cumsum(rng.normal(size=n)) / np.sqrt(n)
+    else:
+        v = spread * rng.uniform(-1.0, 1.0, n)
+    return v, table
+
+
+class TestTiledRows:
+    """The open rows of `_forward_min` are evaluated on tiles visited in
+    order of a lower bound; every row, strict row and two-sided row must
+    keep the loop's value (every zero +0.0), at the kernel's own tile side
+    and at a side of 5, under which most tiles can be pruned."""
+
+    @given(tile_case())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_the_loop(self, case):
+        self.check(*case)
+
+    @given(tile_case(max_size=120))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_at_a_small_side(self, case):
+        with mock.patch.multiple(function_envelopes, _SIDE=5, _TILE_ROWS=2):
+            self.check(*case)
+
+    @staticmethod
+    def check(v, table):
+        n = len(v)
+        with mock.patch.object(function_envelopes, "_forward_linear", lambda *a: None):
+            got = _forward_min(v, table)
+        assert same_bits(got + 0.0, loop_forward_min(v, table, 0) + 0.0)
+        strict = _strict_min(v, table) + 0.0
+        assert same_bits(strict, loop_forward_min(v, table, 1) + 0.0)
+        two = _two_sided_min(v, table) + 0.0
+        assert same_bits(two, loop_forward_min(v, table, 1 - n) + 0.0)
+
+    def test_sparse_and_dense_open_rows_in_one_call(self, monkeypatch):
+        # a flat stretch settles every row, since no later node is lower by
+        # the least step; a high walk at the start leaves its rows open, and
+        # so do five spikes in block 4: blocks 0 and 1 are tiled, block 4
+        # runs its rows one by one
+        n = 700
+        rng = np.random.default_rng(2301)
+        table = np.concatenate([[0.0], rng.uniform(0.5, 1.0, n - 1)])
+        v = 0.01 * rng.uniform(-1.0, 1.0, n)
+        v[:200] = 1.0 + np.abs(np.cumsum(rng.normal(size=200)))
+        v[[520, 530, 560, 600, 630]] = 2.0
+        masks = record_settled_rows(monkeypatch)
+        tiles = record_row_tiles(monkeypatch)
+        got = _forward_min(v, table)
+        open_per_block = np.bincount(np.flatnonzero(~masks[0]) // scan._SIDE)
+        assert list(open_per_block) == [128, 72, 0, 0, 5]
+        assert {i // scan._SIDE for i, _ in tiles} == {0, 1}
+        assert same_bits(got + 0.0, loop_forward_min(v, table, 0) + 0.0)
+
+    def test_concave_walk_evaluates_few_tiles(self, monkeypatch):
+        # the Hölder envelope of a 2000-node walk under power:0.5,0.5 is the
+        # one-step row, checked as a fixpoint: two two-sided rows, four
+        # halves of nb * (nb + 1) / 2 tiles each
+        n = 2000
+        step = 1.0 / (n - 1)
+        phi = power_error(PowerErrorSpec(0.5, 0.5), step, n)
+        walk = np.cumsum(np.random.default_rng(2302).normal(0, n**-0.5, n))
+        f = SampledFn(Grid(0.0, step, n), walk)
+        rounds = count_label_rounds(monkeypatch)
+        tiles = record_row_tiles(monkeypatch)
+        lower = holder_lower_envelope(f, phi).values
+        nb = -(-n // scan._SIDE)
+        assert rounds == [] and len(tiles) < 0.35 * 4 * nb * (nb + 1) // 2
+        assert same_bits(lower, loop_holder_lower(walk, phi.values) + 0.0)
+
+
+@st.composite
+def certified_case(draw):
+    """(f, phi) on tables that `_nondecreasing_pass` certifies or nearly:
+    non-dyadic concave power tables, cumulative sums of decreasing gains,
+    ramps that turn flat, and near-linear tables ``k*c - e*k^2``, with
+    -0.0 at offset 0 at times; the function is a walk or noise, at
+    magnitudes up to 1e7 (so that the one-step row may miss its fixpoint)."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.arange(n)
+    kind = draw(st.sampled_from(["power", "gains", "plateau", "near-linear"]))
+    if kind == "power":
+        table = rng.uniform(0.01, 2.0) * (k / (n - 1)) ** rng.uniform(0.1, 0.95)
+    elif kind == "gains":
+        gains = np.sort(rng.uniform(0.0, 1.0, n - 1))[::-1]
+        table = np.concatenate([[0.0], np.cumsum(gains)])
+    elif kind == "plateau":
+        table = rng.uniform(0.01, 1.0) * np.minimum(k, rng.integers(1, n + 1))
+    else:
+        table = rng.uniform(0.1, 1.0) * k - 10.0 ** rng.uniform(-14, -8) * k * k
+    table[0] = draw(st.sampled_from([0.0, -0.0]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e7]))
+    if draw(st.booleans()):
+        vals = scale * np.cumsum(rng.normal(size=n)) / np.sqrt(n)
+    else:
+        vals = scale * rng.uniform(-1.0, 1.0, n)
+    return sfn(vals), efn(table)
+
+
+def grid_labels(v, table):
+    """All N rounds of dense label setting over the grid costs."""
+    n = len(table)
+    sym = np.concatenate([table[:0:-1], table])
+    return dense_label_setting(v, lambda u: sym[n - 1 - u : 2 * n - 1 - u])
+
+
+class TestOneStepHolderRows:
+    """On a certified table the Hölder envelopes take the one-step row when
+    it is a fixpoint of itself; values and sandwich witnesses must stay
+    those of all N rounds of label setting."""
+
+    @given(certified_case())
+    @settings(max_examples=300, deadline=None)
+    def test_values_and_witnesses_equal_label_setting(self, case):
+        f, phi = case
+        t = phi.values
+        lab, root = grid_labels(f.values, t)
+        upper = -grid_labels(-f.values, t)[0]
+        assert same_bits(holder_lower_envelope(f, phi).values, lab + 0.0)
+        assert same_bits(holder_upper_envelope(f, phi).values, upper + 0.0)
+        out, w = holder_sandwich(SampledFn(f.grid, lab - 1.0), f, phi, 0.0)
+        assert w is None and same_bits(out.values, lab + 0.0)
+        i = int(np.argmax(f.values - lab))
+        g = lab.copy()
+        g[i] = lab[i] + 1.0
+        out, w = holder_sandwich(SampledFn(f.grid, g), f, phi, 0.0)
+        assert out is None
+        assert w.indices == (i, int(root[i])) and (w.lhs, w.rhs) == (g[i], lab[i] + 0.0)
+
+    def test_certified_power_tables_take_the_row(self, monkeypatch):
+        rounds = count_label_rounds(monkeypatch)
+        rng = np.random.default_rng(2303)
+        for n in (2, 3, 50, 400):
+            step = 1.0 / (n - 1)
+            phi = power_error(PowerErrorSpec(0.5, 0.5), step, n)
+            f = SampledFn(Grid(0.0, step, n), np.cumsum(rng.normal(0, n**-0.5, n)))
+            env, roots = function_envelopes._grid_lower(f.values, phi.values)
+            if n > 2:  # a two-offset table cannot pass the certificate at tol 0
+                assert _nondecreasing_pass(phi.values, 0.0) and roots is None
+            assert same_bits(env + 0.0, grid_labels(f.values, phi.values)[0] + 0.0)
+        assert len(rounds) == 1
+
+    def test_certified_table_missing_its_fixpoint_runs_label_setting(self, monkeypatch):
+        # t[2] is 1e-12 below 2 * t[1], a strict concavity the certificate
+        # proves; at -9545999.5 the one-step row gives node 2
+        # fl(v[0] + t[2]), while two steps of 0.7 round lower, so the row is
+        # no fixpoint and label setting must run
+        t = np.array([0.0, 0.7, 1.3999999999989998])
+        f = sfn([-9545999.5, 0.0, 0.0])
+        assert _nondecreasing_pass(t, 0.0)
+        one_step = _two_sided_min(f.values, t)
+        assert not np.array_equal(_two_sided_min(one_step, t), one_step)
+        rounds = count_label_rounds(monkeypatch)
+        lab, root = grid_labels(f.values, t)
+        lower = holder_lower_envelope(f, efn(t)).values
+        assert len(rounds) == 1 and same_bits(lower, lab + 0.0)
+        assert lower[2] < one_step[2] and list(root) == [0, 0, 0]
