@@ -232,7 +232,12 @@ def subadditive_envelope(phi: ErrorFn) -> ErrorFn:
 
 
 @np.errstate(over="ignore")  # an inf candidate never undercuts a label
-def _label_setting(labels: np.ndarray, row: Callable[[int], np.ndarray], cmin: float):
+def _label_setting(
+    labels: np.ndarray,
+    row: Callable[[int], np.ndarray],
+    cmin: float,
+    node: int | None = None,
+):
     """Shortest paths over N nodes from starting labels, by dense label setting.
 
     ``row(u)[v] >= 0`` is the cost of the edge u -> v, and ``cmin`` is at
@@ -251,6 +256,16 @@ def _label_setting(labels: np.ndarray, row: Callable[[int], np.ndarray], cmin: f
     and only a strictly smaller one changes a label or a root.  When L is
     inf, every open label is inf and the test holds, as it should.  Labels
     only fall, so ``max(lab)`` is taken again only after a round lowers one.
+
+    With ``node``, only that node's label and root are wanted, and the
+    rounds stop before settling u once ``lab[node] <= fl(L + cmin)``.  They
+    are then those of the full N rounds: by the same argument, a later
+    candidate for node from another source is at least ``fl(L + cmin)``,
+    hence at least ``lab[node]``, and one from node itself is at least its
+    own label; no later candidate for node is strictly smaller, so none
+    moves its label or its root.  The other labels and roots may still be
+    open.  A witness needs one root, so an infeasible Hölder sandwich asks
+    for that node's alone.
     """
     lab = np.array(labels, dtype=float)
     root = np.arange(len(lab))
@@ -258,7 +273,7 @@ def _label_setting(labels: np.ndarray, row: Callable[[int], np.ndarray], cmin: f
     top = lab.max()
     for _ in range(len(lab)):
         u = int(np.argmin(open_lab))
-        if top <= open_lab[u] + cmin:
+        if (top if node is None else lab[node]) <= open_lab[u] + cmin:
             break
         open_lab[u] = np.inf
         cand = lab[u] + row(u)

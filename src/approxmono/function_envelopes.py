@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
     DEFAULT_TOL,
@@ -57,7 +56,14 @@ from .error_envelopes import (
     absolutely_subadditive_envelope,
     subadditive_envelope,
 )
-from .scan import _SIDE, _block_pairs, _blocks, _diagonal_violation, _shifted_violation
+from .scan import (
+    _SIDE,
+    _ahead,
+    _block_pairs,
+    _blocks,
+    _diagonal_violation,
+    _shifted_violation,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +167,7 @@ def _tiled_rows(
     nb = -(-n // side)
     low = _block_pairs(v, side, nb, np.minimum)
     least = _blocks(table[:n], side, nb, np.minimum)
-    ahead = sliding_window_view(np.concatenate([v, np.full(2 * side, np.inf)]), side)
+    ahead = _ahead(v, np.inf)
     cuts = np.flatnonzero(np.diff(rows // side)) + 1
     for idx in np.split(rows, cuts):
         p = int(idx[0]) // side
@@ -387,14 +393,15 @@ def _grid_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
     return offsets_table(f, phi)
 
 
-def _grid_paths(v: np.ndarray, t: np.ndarray):
+def _grid_paths(v: np.ndarray, t: np.ndarray, node: int | None = None):
     """``(labels, roots)`` of label setting from the labels v over the grid
     costs ``t[|w-u|]``: ``min over j of v[j] + d(j, i)`` and its root j for
-    every node i.  Row u of the costs is a mirrored slice of the table."""
+    every node i, or for the given node only (`_label_setting`).  Row u of
+    the costs is a mirrored slice of the table."""
     n = len(t)
     sym = np.concatenate([t[:0:-1], t])
     cmin = float(t[1:].min())
-    return _label_setting(v, lambda u: sym[n - 1 - u : 2 * n - 1 - u], cmin)
+    return _label_setting(v, lambda u: sym[n - 1 - u : 2 * n - 1 - u], cmin, node)
 
 
 def _grid_lower(v: np.ndarray, t: np.ndarray):
@@ -526,8 +533,9 @@ def holder_sandwich(
     then returned.  Otherwise the witness is the node i where g exceeds the
     envelope most, paired with the root j of its cheapest path:
     ``lhs = g[i]`` and ``rhs = h[j] + d(j, i)``, the envelope at i.  Only
-    that witness needs roots: where the envelope is the one-step row of
-    `_grid_lower`, an infeasible pair runs label setting for them.
+    that witness needs a root: where the envelope is the one-step row of
+    `_grid_lower`, an infeasible pair runs label setting until the root of
+    node i is final.
     """
     check_tolerance(tol)
     if not g.grid.compatible(h.grid):
@@ -541,7 +549,7 @@ def holder_sandwich(
     if best is not None:
         i = best[1]
         if root is None:
-            root = _grid_paths(h.values, t)[1]
+            root = _grid_paths(h.values, t, i)[1]
         j = int(root[i])
         return None, Witness(WitnessKind.SANDWICH, (i, j), float(gv[i]), float(env[i]))
     return SampledFn(h.grid, env), None

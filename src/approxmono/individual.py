@@ -9,10 +9,9 @@ the second is the larger of it on f and on −f.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import ErrorFn, SampledFn, _finite
-from .scan import _SIDE, _block_pairs, _blocks
+from .scan import _SIDE, _ahead, _block_pairs, _blocks
 
 
 def _tile_rows(
@@ -59,8 +58,7 @@ def _largest_increments(v: np.ndarray) -> np.ndarray:
     out = np.zeros(n)
     top = _blocks(v, side, nb, np.maximum)
     low = _block_pairs(v, side, nb, np.minimum)
-    padded = np.concatenate([v, np.full(2 * side, np.inf)])
-    ahead = sliding_window_view(padded, side)  # ahead[m] is padded[m : m + side]
+    ahead = _ahead(v, np.inf)
     for q in range(nb):
         k0, k1 = q * side, min(q * side + side, n)
         rows = out[k0:k1]

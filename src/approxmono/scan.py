@@ -1,10 +1,13 @@
-"""The violation scan shared by every pair check.
+"""The violation scan shared by every pair check, and the tile helpers of
+the three tiled kernels.
 
 Each check is a largest-margin search over a triangle of (row, position)
-pairs; `_max_violation` finds it while evaluating only the tiles of that
-triangle whose bound can hold it.  `_diagonal_violation` serves the
-membership checks and the monotone sandwich, `_shifted_violation` the table
-inequalities and the Hölder sandwich.
+pairs.  `_max_violation` cuts the triangle into tiles of ``_SIDE`` rows by
+``_SIDE`` positions, bounds every tile at once from block extrema, and
+evaluates whole tiles, one 2-D numpy operation each, in order of descending
+bound until no bound can reach the best margin.  `_diagonal_violation`
+serves the membership checks and the monotone sandwich,
+`_shifted_violation` the table inequalities and the Hölder sandwich.
 """
 from __future__ import annotations
 
@@ -12,147 +15,156 @@ import math
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
-#: A numpy call on a span costs about as much as this many margins, so the
-#: scan evaluates a skipped gap shorter than this rather than split the row.
-_SPAN_COST = 8192
-
-#: Side of the square tiles of the individual tables' kernel and of the
-#: min-plus rows.  On walks and waves of 1k-20k nodes it measured as fast as
-#: any other side, and faster than `_max_violation`'s ``sqrt(N)`` rule below
-#: 5k nodes.
+#: Side of the square tiles of every tiled kernel: the violation scan, the
+#: individual tables and the min-plus rows.  On walks and waves of 1k-20k
+#: nodes it measured as fast as any other side for each of them.
 _SIDE = 128
 
 
 def _blocks(x: np.ndarray, side: int, count: int, ufunc) -> np.ndarray:
     """``ufunc.reduce`` over each block of ``side`` consecutive values of x
-    (the last one may be short), the last block repeated up to ``count``."""
+    (the last one may be short), for ``count`` blocks: those past the end
+    are empty, -inf for a max and +inf for a min."""
     e = ufunc.reduceat(x, np.arange(0, len(x), side))
-    return np.pad(e, (0, count - len(e)), mode="edge")
+    empty = np.inf if ufunc is np.minimum else -np.inf
+    return np.pad(e, (0, count - len(e)), constant_values=empty)
 
 
 def _block_pairs(x: np.ndarray, side: int, count: int, ufunc) -> np.ndarray:
     """``ufunc`` of blocks q and q+1 of x for q < count: the extremum of
     ``x[q*side : (q+2)*side]``, which holds ``x[i+k]`` whenever i and k lie
-    in blocks whose indices sum to q."""
+    in blocks whose indices sum to q (empty past the end of x)."""
     e = _blocks(x, side, count + 1, ufunc)
     return ufunc(e[:-1], e[1:])
 
 
-@np.errstate(over="ignore")
+def _ahead(x: np.ndarray, fill: float) -> np.ndarray:
+    """The ``_SIDE`` windows of x padded by ``2 * _SIDE`` copies of fill:
+    ``_ahead(x, fill)[m]`` is ``padded[m : m + _SIDE]``, so rows m0..m1-1
+    read ``x[m + j]`` at column j, fill past the end, for any m0 < len(x)
+    and m1 <= m0 + 2 * _SIDE."""
+    return sliding_window_view(np.concatenate([x, np.full(2 * _SIDE, fill)]), _SIDE)
+
+
 def _max_violation(
     rows: int,
     width: int,
-    margins: Callable[[int, int, int], np.ndarray],
-    bounds: Callable[[int], Callable[[int], np.ndarray]],
+    tile: Callable[[int, int, int, int], np.ndarray],
+    bound: np.ndarray,
     tol: float,
 ) -> tuple[int, int] | None:
     """``(row, pos)`` of the largest margin above tol over rows 0..rows-1,
-    where row r holds the positions 0..width-r-1.
+    where row r holds the positions 0..width-r-1: the result of the full row
+    scan, which keeps the first strictly larger margin, so ties resolve to
+    the first row, then the first position (the least pair in the order of
+    ``(row, pos)``).  A margin of +inf overflowed, since inputs are finite:
+    OverflowError, wherever it lies.
 
-    ``margins(r, lo, hi)`` gives row r's float margins at positions lo..hi-1.
-    The plane is cut into tiles of ``side`` rows by ``side`` positions;
-    ``bounds(side)(t)`` gives, for the tiles of rows t*side.. (one per
-    position block, from position 0), the margin expression evaluated on
-    block extrema of its operands: the max of each added one, the min of
-    each subtracted one.  Rounding is monotone, so a tile's bound is at least
-    every float margin in it.
+    ``tile(r0, r1, lo, hi)`` gives the 2-D float margins of rows r0..r1-1
+    at positions lo..hi-1, ``-inf`` at the pairs past a row's end.  The
+    plane is cut into tiles of ``_SIDE`` rows by ``_SIDE`` positions, row
+    block t by position block s, whose first cell is
+    ``(r0, p0) = (t, s) * _SIDE``; every cell of the tile comes at or after
+    it.  ``bound[t, s]`` is the margin expression evaluated on block
+    extrema of its operands, the max of each added one and the min of each
+    subtracted one.  Rounding is monotone, so a tile's bound is at least
+    every float margin in it.  A tile past the triangle, ``r0 + p0 >=
+    width``, holds no pair; its bound reads an empty block (`_blocks`) and
+    is -inf, at most tol (which is at least 0).
 
-    The result is that of scanning every row in order, keeping the first
-    strictly larger margin: ties resolve to the first row, then the first
-    position.  Only tiles that can hold that margin are evaluated: those
-    whose bound exceeds tol and the best margin so far, and reaches the
-    exact maximum of the tile with the largest bound.  No pair is evaluated
-    when every bound is at most tol.  Inputs are finite, so a margin of +inf
-    overflowed (its tile's bound is +inf too): OverflowError.
+    The tiles whose bound exceeds tol are visited in order of descending
+    bound (row-major on equal bounds); each is evaluated whole, and its
+    first largest cell replaces the best pair when it is strictly larger,
+    or equal and earlier.  The visit stops at the first bound below the
+    best margin, and skips a tile whose bound equals the best margin when
+    its first cell comes after the best pair.
+
+    Why this is the full scan's result.  That result is the least pair of
+    largest margin M, when M exceeds tol.  After each tile, the best pair
+    is the least pair of largest margin over the tiles evaluated, when that
+    margin exceeds tol.  A tile that is never evaluated changes neither:
+    with a bound at most tol, its margins are at most tol; after the stop,
+    its bound, and so every margin in it, is below the best margin; skipped
+    on an equal bound, its margins are at most the best margin and its
+    cells all come after the best pair.  So the best pair at the end is the
+    full scan's.  A margin of +inf lies in a tile of bound +inf.  The best
+    margin stays finite until one is found, so no such tile is stopped at
+    or skipped, and its evaluation raises.  A scan whose bounds are all at
+    most tol evaluates no pair.
     """
-    side = max(32, math.isqrt(width - 1) + 1)  # about sqrt(width): O(width) tiles
-    row_bound = bounds(side)
-    blocks = range(-(-rows // side))
-
-    def tiles(t):  # the bounds of row block t, up to its last tile holding a pair
-        return row_bound(t)[: -(-(width - t * side) // side)]
-
-    def tile_rows(t):
-        return range(t * side, min(t * side + side, rows))
-
-    tops = [float(tiles(t).max()) for t in blocks]
-    t = int(np.argmax(tops))
-    if not tops[t] > tol:
-        return None
-    lo = int(np.argmax(tiles(t))) * side
-    seed = max(
-        float(margins(r, lo, min(lo + side, width - r)).max())
-        for r in tile_rows(t)
-        if lo < width - r
-    )
-    best_margin = tol
-    best = None
-    for t in blocks:
-        if tops[t] < seed or tops[t] <= best_margin:
+    side, nw = _SIDE, bound.shape[1]
+    flat = bound.ravel()
+    kept = np.flatnonzero(flat > tol)
+    kept = kept[np.argsort(-flat[kept], kind="stable")]
+    best_margin, best = tol, None
+    for j in map(int, kept):  # lazily: most calls stop after a few tiles
+        b = flat[j]
+        t, s = divmod(j, nw)
+        r0, p0 = t * side, s * side
+        if b < best_margin:
+            break
+        if b == best_margin and (r0, p0) > best:
             continue
-        u = tiles(t)
-        kept = np.flatnonzero((u >= seed) & (u > best_margin))
-        # runs of kept tiles, joined across gaps too short to pay for a call
-        cuts = np.flatnonzero(np.diff(kept) * side > _SPAN_COST + side).tolist()
-        firsts, lasts = [0] + [c + 1 for c in cuts], cuts + [len(kept) - 1]
-        spans = [
-            (int(kept[i]) * side, int(kept[j]) * side + side)
-            for i, j in zip(firsts, lasts)
-        ]
-        for r in tile_rows(t):
-            end = width - r
-            for lo, hi in spans:
-                if lo >= end:
-                    break
-                row = margins(r, lo, hi if hi < end else end)
-                pos = row.argmax()
-                if row[pos] > best_margin:
-                    best_margin = float(row[pos])
-                    if best_margin == math.inf:
-                        raise OverflowError(
-                            "violation margin overflows the double range"
-                        )
-                    best = (r, lo + int(pos))
+        m = tile(r0, min(r0 + side, rows), p0, min(p0 + side, width - r0))
+        dr, dp = divmod(int(m.argmax()), m.shape[1])
+        margin, pair = float(m[dr, dp]), (r0 + dr, p0 + dp)
+        if margin > best_margin or (
+            margin == best_margin and best is not None and pair < best
+        ):
+            if margin == math.inf:
+                raise OverflowError("violation margin overflows the double range")
+            best_margin, best = margin, pair
     return best
 
 
+@np.errstate(over="ignore")  # an overflowed margin is +inf, and raises
 def _diagonal_violation(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float
 ) -> tuple[int, int] | None:
     """``(k, i)`` of the largest margin above tol of ``(a[i] - b[i+k]) - c[k]``
-    over ``0 <= k`` and ``i + k < len(a)``; see `_max_violation`."""
+    over ``0 <= k`` and ``i + k < len(a)``; see `_max_violation`.  Past the
+    end, b reads +inf, so the margin is -inf."""
     n = len(a)
+    ahead = _ahead(b, math.inf)
 
-    def margins(k, lo, hi):
-        return (a[lo:hi] - b[lo + k : hi + k]) - c[k]
+    def tile(k0, k1, lo, hi):
+        m = ahead[lo + k0 : lo + k1, : hi - lo].copy()  # contiguous: faster below
+        np.subtract(a[lo:hi], m, out=m)
+        m -= c[k0:k1, None]
+        return m
 
-    def bounds(side):
-        nb = -(-n // side)
-        a_max = _blocks(a, side, nb, np.maximum)
-        b_min = _block_pairs(b, side, 2 * nb - 1, np.minimum)
-        c_min = _blocks(c[:n], side, nb, np.minimum)
-        return lambda t: (a_max - b_min[t : t + nb]) - c_min[t]
+    nb = -(-n // _SIDE)
+    a_max = _blocks(a, _SIDE, nb, np.maximum)
+    b_min = _block_pairs(b, _SIDE, 2 * nb - 1, np.minimum)
+    c_min = _blocks(c[:n], _SIDE, nb, np.minimum)
+    bound = a_max - sliding_window_view(b_min, nb)
+    bound -= c_min[:, None]
+    return _max_violation(n, n, tile, bound, tol)
 
-    return _max_violation(n, n, margins, bounds, tol)
 
-
+@np.errstate(over="ignore")  # an overflowed margin is +inf, and raises
 def _shifted_violation(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float
 ) -> tuple[int, int] | None:
     """``(r, p)`` of the largest margin above tol of ``(a[r+p] - b[r]) - c[p]``
-    over ``0 <= r < len(b)`` and ``r + p < len(a)``; see `_max_violation`."""
+    over ``0 <= r < len(b)`` and ``r + p < len(a)``; see `_max_violation`.
+    Past the end, a reads -inf, so the margin is -inf."""
     rows, width = len(b), len(a)
+    ahead = _ahead(a, -math.inf)
 
-    def margins(r, lo, hi):
-        return (a[r + lo : r + hi] - b[r]) - c[lo:hi]
+    def tile(r0, r1, lo, hi):
+        m = ahead[r0 + lo : r1 + lo, : hi - lo].copy()  # contiguous: faster below
+        m -= b[r0:r1, None]
+        m -= c[lo:hi]
+        return m
 
-    def bounds(side):
-        nr, nw = -(-rows // side), -(-width // side)
-        a_max = _block_pairs(a, side, nr + nw - 1, np.maximum)
-        b_min = _blocks(b, side, nr, np.minimum)
-        c_min = _blocks(c[:width], side, nw, np.minimum)
-        return lambda t: (a_max[t : t + nw] - b_min[t]) - c_min
-
-    return _max_violation(rows, width, margins, bounds, tol)
+    nr, nw = -(-rows // _SIDE), -(-width // _SIDE)
+    a_max = _block_pairs(a, _SIDE, nr + nw - 1, np.maximum)
+    b_min = _blocks(b, _SIDE, nr, np.minimum)
+    c_min = _blocks(c[:width], _SIDE, nw, np.minimum)
+    bound = sliding_window_view(a_max, nw) - b_min[:, None]
+    bound -= c_min
+    return _max_violation(rows, width, tile, bound, tol)

@@ -276,14 +276,14 @@ def count_label_rounds(monkeypatch) -> list[int]:
     kernel = error_envelopes._label_setting
     rounds: list[int] = []
 
-    def counting(labels, row, cmin):
+    def counting(labels, row, cmin, node=None):
         rounds.append(0)
 
         def counted(u):
             rounds[-1] += 1
             return row(u)
 
-        return kernel(labels, counted, cmin)
+        return kernel(labels, counted, cmin, node)
 
     monkeypatch.setattr(error_envelopes, "_label_setting", counting)
     monkeypatch.setattr(function_envelopes, "_label_setting", counting)

@@ -858,6 +858,19 @@ class TestLabelSettingExit:
         assert same_bits(lab, want_lab)
         assert np.array_equal(root, want_root)
 
+    @given(label_case(), st.sampled_from([grid_rows, folded_rows]), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_one_node_stops_with_its_label_and_root(self, case, rows, data):
+        # asked for one node, the rounds stop once its label is final; its
+        # label and root must be those of all N dense rounds
+        labels, table = case
+        row, cmin = rows(table)
+        node = data.draw(st.integers(0, len(labels) - 1))
+        lab, root = error_envelopes._label_setting(labels, row, cmin, node)
+        want_lab, want_root = dense_label_setting(labels, row)
+        assert same_bits(lab[node : node + 1], want_lab[node : node + 1])
+        assert root[node] == want_root[node]
+
     @given(label_case(), st.integers(1, 3))
     @settings(max_examples=200, deadline=None)
     def test_grid_envelope_with_a_longer_table(self, case, extra):

@@ -1,12 +1,11 @@
-"""The bounded violation scan `scan._max_violation` against the row loop.
+"""The tiled violation scan `scan._max_violation` against the row loop.
 
-The kernel evaluates only the tiles whose bound can hold the largest margin.
-Each of the five scans that go through it must give what the plain row loop
-(`helpers.loop_max_violation`) gives: the verdict, the pair, the witness
-bytes, and OverflowError where the loop raises it.
+The kernel evaluates only the tiles whose bound can hold the largest margin,
+in order of bound.  Each of the five scans that go through it must give what
+the plain row loop (`helpers.loop_max_violation`) gives: the verdict, the
+pair, the witness bytes, and OverflowError where the loop raises it.
 """
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,14 +43,9 @@ from helpers import (
     signed_rows,
 )
 
-# Below 1025 positions a tile has 32 rows and 32 positions: sizes below, at
-# and just past one tile, around two and three tiles, and 1057, whose tiles
-# have side 33.
-SIZES = [2, 3, 31, 32, 33, 63, 64, 65, 97, 1057]
-
-# The default span cost, and 0, which evaluates every run of kept tiles
-# apart instead of joining short gaps.
-SPAN_COSTS = [scan._SPAN_COST, 0]
+# A tile has scan._SIDE = 128 rows and 128 positions: sizes below, at and
+# just past one tile, around two tiles, and three tiles.
+SIZES = [2, 3, 127, 128, 129, 255, 257, 385]
 
 
 def sfn(vals):
@@ -120,8 +114,8 @@ def tolerance(draw, largest: float) -> float:
 @st.composite
 def size_and_kind(draw, sizes=SIZES):
     n = draw(st.sampled_from(sizes))
-    if n > 100:  # the row-loop oracle is quadratic; keep the big size rare
-        n = draw(st.sampled_from([n, 33]))
+    if n > scan._SIDE + 1:  # the row-loop oracle is quadratic; keep big sizes rare
+        n = draw(st.sampled_from([n, 3, 33, 129]))
     kinds = ["ties", "zeros", "huge", "walk", "steep", "spikes"]
     return n, draw(st.sampled_from(kinds))
 
@@ -131,18 +125,16 @@ def largest_or_overflow(rows, margins, first=0) -> float:
     return m if m < math.inf else math.nan
 
 
-@pytest.mark.parametrize("span_cost", SPAN_COSTS)
 class TestShapesMatchTheRowLoop:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_monotone_and_holder_checks(self, span_cost, data):
+    def test_monotone_and_holder_checks(self, data):
         n, kind = data.draw(size_and_kind())
         v, table = data.draw(arrays(n, kind)), data.draw(arrays(n, kind, table=True))
         holder = data.draw(st.booleans())
         tol = data.draw(tolerance(largest_or_overflow(n, check_rows(v, table, holder))))
         check = is_phi_holder if holder else is_phi_monotone
-        with mock.patch.object(scan, "_SPAN_COST", span_cost):
-            got = outcome(lambda: check(sfn(v), efn(table), tol))
+        got = outcome(lambda: check(sfn(v), efn(table), tol))
         want = outcome(lambda: scan_check(v, table, tol, holder))
         if want is OverflowError:
             assert got is OverflowError
@@ -160,15 +152,14 @@ class TestShapesMatchTheRowLoop:
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_monotone_sandwich(self, span_cost, data):
+    def test_monotone_sandwich(self, data):
         n, kind = data.draw(size_and_kind())
         g, h = data.draw(arrays(n, kind)), data.draw(arrays(n, kind))
         phi = data.draw(arrays(n, kind, table=True))
         phi[0] = 0.0
         sig = subadditive_envelope(efn(phi)).values
         tol = data.draw(tolerance(largest_or_overflow(n, sandwich_rows(g, h, sig))))
-        with mock.patch.object(scan, "_SPAN_COST", span_cost):
-            got = outcome(lambda: monotone_sandwich(sfn(g), sfn(h), efn(phi), tol))
+        got = outcome(lambda: monotone_sandwich(sfn(g), sfn(h), efn(phi), tol))
         want = outcome(lambda: scan_sandwich(g, h, sig, tol))
         if want is OverflowError:
             assert got is OverflowError
@@ -183,7 +174,7 @@ class TestShapesMatchTheRowLoop:
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_relative_scan(self, span_cost, data):
+    def test_relative_scan(self, data):
         # is_subadditive scans the table against itself, the monotone
         # bracket's hypothesis against psi (f = 0 passes any check)
         n, kind = data.draw(size_and_kind())
@@ -194,15 +185,14 @@ class TestShapesMatchTheRowLoop:
         w = psi if bracket else v
         tol = data.draw(tolerance(largest_or_overflow(n, relative_rows(v, w, n), 1)))
         want = outcome(lambda: scan_relative(v, w, n, tol))
-        with mock.patch.object(scan, "_SPAN_COST", span_cost):
-            if bracket:
-                f = sfn(np.zeros(n))
-                try:
-                    got = outcome(lambda: monotone_bracket(f, efn(v), efn(psi), tol))
-                except PreconditionError as exc:
-                    got = exc.witness
-            else:
-                got = outcome(lambda: is_subadditive(efn(v), tol))
+        if bracket:
+            f = sfn(np.zeros(n))
+            try:
+                got = outcome(lambda: monotone_bracket(f, efn(v), efn(psi), tol))
+            except PreconditionError as exc:
+                got = exc.witness
+        else:
+            got = outcome(lambda: is_subadditive(efn(v), tol))
         if want is OverflowError:
             assert got is OverflowError
             return
@@ -223,11 +213,11 @@ class TestShapesMatchTheRowLoop:
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_signed_scan(self, span_cost, data):
+    def test_signed_scan(self, data):
         # is_absolutely_subadditive scans the table against itself, the
         # Hölder bracket's hypothesis against psi (f = 0 passes any check)
-        # rows hold 2n - 1 positions: n = 17 already spans two tiles
-        n, kind = data.draw(size_and_kind(SIZES[:-1] + [17]))
+        # rows hold 2n - 1 positions: n = 65 already spans two tiles
+        n, kind = data.draw(size_and_kind([2, 3, 64, 65, 127, 128, 129, 193]))
         v = data.draw(arrays(n, kind, table=True))
         psi = data.draw(arrays(n, kind, table=True))
         # past the scan a bracket builds envelopes, which may overflow
@@ -235,15 +225,14 @@ class TestShapesMatchTheRowLoop:
         w = psi if bracket else v
         tol = data.draw(tolerance(largest_or_overflow(n, signed_rows(v, w, n))))
         want = outcome(lambda: scan_signed(v, w, n, tol))
-        with mock.patch.object(scan, "_SPAN_COST", span_cost):
-            if bracket:
-                f = sfn(np.zeros(n))
-                try:
-                    got = outcome(lambda: holder_bracket(f, efn(v), efn(psi), tol))
-                except PreconditionError as exc:
-                    got = exc.witness
-            else:
-                got = outcome(lambda: is_absolutely_subadditive(efn(v), tol))
+        if bracket:
+            f = sfn(np.zeros(n))
+            try:
+                got = outcome(lambda: holder_bracket(f, efn(v), efn(psi), tol))
+            except PreconditionError as exc:
+                got = exc.witness
+        else:
+            got = outcome(lambda: is_absolutely_subadditive(efn(v), tol))
         if want is OverflowError:
             assert got is OverflowError
             return
@@ -266,30 +255,63 @@ class TestShapesMatchTheRowLoop:
 def test_tiles_past_the_row_ends_never_seed_the_scan():
     # tile bounds past a row's last position read padded blocks; here one of
     # them is the largest bound, yet holds no pair
-    n = 64
+    n = 2 * scan._SIDE
     a, b, c = np.zeros(n), np.zeros(n), np.ones(n)
     a[-1], b[-1], c[-20:] = 100.0, -100.0, 0.0
     want = loop_max_violation(n, lambda r: (a[r:] - b[r]) - c[: n - r], 0.0)
-    assert scan._shifted_violation(a, b, c, 0.0) == want == (63, 0)
+    assert scan._shifted_violation(a, b, c, 0.0) == want == (n - 1, 0)
+
+
+def diagonal_rows(a, b, c):
+    """Row k of `scan._diagonal_violation`'s margins, for the row loop."""
+    n = len(a)
+    return lambda k: (a[: n - k] - b[k:]) - c[k]
+
+
+def test_equal_margins_resolve_to_the_first_pair_across_tiles():
+    # margin 1 at (0, 0) in tile (0, 0), whose bound is exactly 1, and at
+    # (0, 130) in tile (0, 1), whose bound 5 comes from a[200] (every pair of
+    # which reads b = 10): the later tile is visited first, and the equal
+    # bound of the earlier one must not skip it
+    n = 2 * scan._SIDE
+    a, b, c = np.zeros(n), np.zeros(n), np.full(n, 0.5)
+    a[0] = a[130] = 1.0
+    a[200], b[200:], c[0] = 5.0, 10.0, 0.0
+    want = loop_max_violation(n, diagonal_rows(a, b, c), 0.0)
+    assert scan._diagonal_violation(a, b, c, 0.0) == want == (0, 0)
+
+
+def test_overflow_in_a_later_tile_of_infinite_bound():
+    # tiles (0, 0) and (1, 0) both have bound +inf from a[0] = 1e308 and
+    # b[200] = -1e308; the first one visited holds only finite margins, the
+    # overflowing one, a[0] - b[200], lies in row 200 of the second
+    n = 2 * scan._SIDE
+    a, b, c = np.zeros(n), np.zeros(n), np.zeros(n)
+    a[0], b[200] = 1e308, -1e308
+    with pytest.raises(OverflowError):
+        loop_max_violation(n, diagonal_rows(a, b, c), 0.0)
+    with pytest.raises(OverflowError, match="overflows the double range"):
+        scan._diagonal_violation(a, b, c, 0.0)
 
 
 class TestPrunedWork:
     """The kernel must skip what its bounds rule out; counted by wrapping
-    the margins callback."""
+    the tile callback and adding up the cells it returns."""
 
     @pytest.fixture
     def evaluated(self, monkeypatch):
         counts = []
         kernel = scan._max_violation
 
-        def counting(rows, width, margins, bounds, tol):
+        def counting(rows, width, tile, bound, tol):
             counts.append(0)
 
-            def counted(r, lo, hi):
-                counts[-1] += hi - lo
-                return margins(r, lo, hi)
+            def counted(r0, r1, lo, hi):
+                out = tile(r0, r1, lo, hi)
+                counts[-1] += out.size
+                return out
 
-            return kernel(rows, width, counted, bounds, tol)
+            return kernel(rows, width, counted, bound, tol)
 
         monkeypatch.setattr(scan, "_max_violation", counting)
         return counts
