@@ -265,7 +265,8 @@ def _label_setting(
     own label; no later candidate for node is strictly smaller, so none
     moves its label or its root.  The other labels and roots may still be
     open.  A witness needs one root, so an infeasible Hölder sandwich asks
-    for that node's alone.
+    for that node's alone, on a table whose slack does not give it from
+    the one-step row (`function_envelopes._row_root`).
     """
     lab = np.array(labels, dtype=float)
     root = np.arange(len(lab))

@@ -18,8 +18,11 @@ max side is a reflection.  The Hölder envelopes and sandwich use
 to node i through grid nodes, paying ``phi[|u-v|]`` per step u -> v.  On a
 table certified subadditive and nondecreasing that is the one-step row
 ``min over j of f[j] + phi[|j-i|]`` whenever the same row taken of its
-output gives the output back, which is tested; otherwise label setting
-finds it, stopping once no label can be undercut.  The kernels compute
+output gives the output back.  When the table's subadditive slack exceeds
+the row's rounding, an O(N) certificate proves that and gives a path's
+root from the row; otherwise the row of the row is tested, and label
+setting finds what no test proves, stopping once no label can be
+undercut.  The kernels compute
 values only; each operator returns through `_envelope`, which makes every
 zero +0.0 and raises OverflowError past the double range.  The brackets
 check their table hypotheses with the subadditivity scans of
@@ -29,6 +32,7 @@ scanned here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +54,7 @@ from .grid import (
 )
 from .error_envelopes import (
     _label_setting,
+    _last_window_excess,
     _nondecreasing_pass,
     _relative_violation,
     _signed_violation,
@@ -405,13 +410,14 @@ def _grid_paths(v: np.ndarray, t: np.ndarray, node: int | None = None):
 
 
 def _grid_lower(v: np.ndarray, t: np.ndarray):
-    """``(labels, roots)`` of `_grid_paths`, ``min over j of v[j] + d(j, i)``
-    for every node i, with roots None when the labels are the one-step row
-    ``R = min over j of v[j] + t[|j-i|]``, taken when it is a fixpoint of
-    that row.
+    """``(labels, root)``: ``min over j of v[j] + d(j, i)`` for every node i
+    and ``root(i)``, the root of node i's path, both as label setting ends
+    with them after all N rounds (`_grid_paths`).  The labels are the
+    one-step row ``R = min over j of v[j] + t[|j-i|]`` when R is a fixpoint
+    of that row, ``fl(R[u] + t[|w-u|]) >= R[w]`` for every pair; then only
+    the root a caller asks for is found.
 
-    Why R is then the labels, with ``R = _two_sided_min(v, t)`` equal to
-    ``_two_sided_min(R, t)``.  No label is ever below R: a starting label
+    Why R is then the labels.  No label is ever below R: a starting label
     is ``v[i] = fl(v[i] + t[0]) >= R[i]``, t[0] being a zero, and a
     candidate ``fl(lab[u] + t[|w-u|])`` is at least ``fl(R[u] + t[|w-u|])``
     by monotone rounding, hence at least R[w] by the fixpoint.  After all N
@@ -419,17 +425,108 @@ def _grid_lower(v: np.ndarray, t: np.ndarray):
     and node j has settled with a label of at most v[j], since labels only
     fall, so its candidate for i was at most R[i].  `_label_setting` keeps
     the bits of all N rounds when it exits early, so its labels are R (up
-    to the sign of a zero, which `_envelope` fixes).  The fixpoint test
-    carries this on any table.  It is tried only where `_nondecreasing_pass`
-    certifies the table subadditive and nondecreasing, so that R is the
-    fixpoint in exact arithmetic (``t[|j-w|] <= t[|j-u|] + t[|u-w|]``), and
-    a rough table does not pay for two rows it cannot use.
+    to the sign of a zero, which `_envelope` fixes).
+
+    The fixpoint is tried only where `_nondecreasing_pass` certifies the
+    table subadditive and nondecreasing, so that R is the fixpoint in exact
+    arithmetic (``t[|j-w|] <= t[|j-u|] + t[|u-w|]``), and a rough table
+    does not pay for rows it cannot use.  `_slack_pass` proves it in O(N)
+    when the table's slack exceeds R's rounding, and the root is then read
+    off the row (`_row_root`).  Otherwise the row of R is computed and
+    compared, and the root takes label setting for one node
+    (`_path_root`); when that fails too, label setting runs for all.
     """
     if _nondecreasing_pass(t, 0.0):
         r = _two_sided_min(v, t)
+        if _slack_pass(t, r):
+            return r, partial(_row_root, v, t, r)
         if np.array_equal(_two_sided_min(r, t), r):
-            return r, None
-    return _grid_paths(v, t)
+            return r, partial(_path_root, v, t)
+    lab, roots = _grid_paths(v, t)
+    return lab, roots.item
+
+
+def _slack_pass(t: np.ndarray, r: np.ndarray) -> bool:
+    """True only when ``fl(r[u] + t[|w-u|]) >= r[w]`` for every pair, where
+    r is the one-step row of labels v (`_grid_lower`) and t, of N entries,
+    is nondecreasing from a zero t[0]: when ``t[1]`` and every exact
+    ``t[a] + t[b] - t[a+b]`` (a, b >= 1, a + b < N) exceed
+    ``rho = 2^-53 * max|r|``.  O(N).
+
+    Why that suffices.  Take u != w, and j with ``r[u] = fl(v[j] + t[a])``,
+    a = |j-u|; let b = |u-w| and c = |j-w|.  For a = 0, ``r[u] = v[u]``
+    and ``fl(v[u] + t[b])`` is a candidate of r[w].  For a >= 1: when u
+    lies between j and w, c = a + b < N and ``t[c] <= t[a] + t[b] - g``
+    with g > rho by the slack; otherwise c < max(a, b), and t is
+    nondecreasing with t[min(a, b)] >= t[1], so the same holds with
+    g = t[1].  A sum rounds by at most 2^-53 of its rounded value (exactly
+    in the subnormal range), so ``r[u] >= v[j] + t[a] - rho``, and
+    ``r[u] + t[b] >= v[j] + t[c] + g - rho > v[j] + t[c]``.  By monotone
+    rounding ``fl(r[u] + t[b]) >= fl(v[j] + t[c]) >= r[w]``.
+
+    The test.  `_last_window_excess` in its concave form bounds every
+    margin ``t[a+b] - t[a] - t[b]`` as in `_window_pass` (x = t[1:],
+    w = t).  Its proof shows that an excess E which `_certified_pass`
+    accepts at tol 0 bounds every exact margin with a rounding slack below
+    the delta of scale ``2 * max t`` (its X + W, as t >= 0), with room for
+    delta's own rounding.  The scale here adds max|r|, which raises delta
+    by ``2^-50 * N * max|r| >= 8 * rho``, and an accepted E is at most
+    minus that delta, so every exact margin is below -rho.  The k = 1 term
+    of E is ``fl(fl(t[2] - t[1]) - t[1]) >= -t[1]`` and the rest of E is
+    at least 0, so a pass also gives ``t[1] >= delta``, above both
+    ``2^-49 * max|r|`` and 2^-1071.  With N < 3 there is no term and E is
+    -inf, which `_certified_pass` declines.
+    """
+    x = t[1:]
+    mag = _magnitude(r)
+    excess = _last_window_excess(-x[::-1], t, 1)
+    return _certified_pass(excess, len(t), 2.0 * float(t[-1]) + mag, 0.0)
+
+
+@np.errstate(over="ignore")  # an inf sum is no finite label
+def _row_root(v: np.ndarray, t: np.ndarray, r: np.ndarray, i: int) -> int:
+    """Label setting's root of node i when `_slack_pass` holds for the row
+    r: i itself when ``v[i] == r[i]``, otherwise the least ``(v[j], j)``
+    over the j with ``fl(v[j] + t[|j-i|]) == r[i]``.  O(N).
+
+    Why.  The labels are r (`_grid_lower`), and a node's label is final
+    once it settles.  (G): for |y| <= max|r| and b >= 1,
+    ``fl(y + t[b]) > y``, as t[b] >= t[1] exceeds half the gap above y,
+    which is at most ``2^-53 * |y| + 2^-1075``.
+    (F), the slack: ``fl(r[u] + t[b]) >= fl(v[k] + t[c])`` when
+    ``r[u] = fl(v[k] + t[|k-u|])``, b = |u-w| >= 1, c = |k-w|.  Every
+    v[k] whose sum is some r[u] lies in ``[min v, r[u]]``, and
+    ``min v = min r``, so (G) applies to it.
+
+    Settle order is ``(r, index)``: by (G) a node's label comes from a
+    source with a smaller label, settled before any node of that label, so
+    every node of label L holds it when the first of them settles, and the
+    least index settles first; a source of label L never hands L on.  When
+    ``v[i] == r[i]`` the label of i never falls strictly, so its root is
+    i.  Otherwise the root of i is the root of the first source s in
+    settle order whose candidate ``fl(r[s] + t[|i-s|])`` is r[i]; only a
+    strictly smaller candidate moves a label, and none comes later.
+
+    Let j be the least ``(v[j], j)`` whose sum is r[i]; j != i.  Then
+    ``r[j] = v[j]``: else ``r[j] = fl(v[k] + t[|k-j|])`` with k != j, and
+    by (F) ``fl(v[k] + t[|k-i|]) <= fl(r[j] + t[|j-i|]) <= r[i]``, so k's
+    sum is r[i] too (k = i would give ``v[i] <= r[i]``), while
+    ``v[k] < r[j] < v[j]`` by (G): k precedes j.  So j is its own root and
+    its candidate for i is r[i].  No source s before j has candidate r[i]:
+    with ``r[s] = v[s]``, s would be a sum of r[i] preceding j in
+    ``(v, index)``; with ``r[s] < v[s]``, the k holding r[s] would, by
+    (F) and (G) as above, have sum r[i] and ``v[k] < r[s] <= r[j] = v[j]``.
+    So s = j, the root of i.
+    """
+    if v[i] == r[i]:
+        return i
+    hit = np.flatnonzero(v + t[np.abs(np.arange(len(v)) - i)] == r[i])
+    return int(hit[np.argmin(v[hit])])
+
+
+def _path_root(v: np.ndarray, t: np.ndarray, i: int) -> int:
+    """The root of node i by label setting, run until that root is final."""
+    return int(_grid_paths(v, t, i)[1][i])
 
 
 def _backward_max(v: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -533,9 +630,11 @@ def holder_sandwich(
     then returned.  Otherwise the witness is the node i where g exceeds the
     envelope most, paired with the root j of its cheapest path:
     ``lhs = g[i]`` and ``rhs = h[j] + d(j, i)``, the envelope at i.  Only
-    that witness needs a root: where the envelope is the one-step row of
-    `_grid_lower`, an infeasible pair runs label setting until the root of
-    node i is final.
+    that witness needs a root.  Where the envelope is the one-step row of
+    `_grid_lower`, a row `_slack_pass` proves gives it in O(N): i itself
+    when h[i] is the envelope at i, otherwise the least ``(h[j], j)``
+    whose one-step sum is (`_row_root`).  A row the fixpoint test proves
+    runs label setting until the root of node i is final.
     """
     check_tolerance(tol)
     if not g.grid.compatible(h.grid):
@@ -548,10 +647,7 @@ def holder_sandwich(
     best = _shifted_violation(gv, np.zeros(1), env, tol)
     if best is not None:
         i = best[1]
-        if root is None:
-            root = _grid_paths(h.values, t, i)[1]
-        j = int(root[i])
-        return None, Witness(WitnessKind.SANDWICH, (i, j), float(gv[i]), float(env[i]))
+        return None, Witness(WitnessKind.SANDWICH, (i, root(i)), float(gv[i]), float(env[i]))
     return SampledFn(h.grid, env), None
 
 

@@ -290,6 +290,33 @@ def count_label_rounds(monkeypatch) -> list[int]:
     return rounds
 
 
+def record_holder_paths(monkeypatch) -> list[str]:
+    """Wrap the Hölder envelopes' kernel and its label setting for one root.
+    Each `_grid_lower` call appends the proof its labels took:
+    "certificate" (`_slack_pass`), "fixpoint" (the row of the row) or
+    "label setting"; each root asked of label setting appends "node"."""
+    lower, paths_of = function_envelopes._grid_lower, function_envelopes._grid_paths
+    named = {
+        function_envelopes._row_root: "certificate",
+        function_envelopes._path_root: "fixpoint",
+    }
+    paths: list[str] = []
+
+    def recording(v, t):
+        lab, root = lower(v, t)
+        paths.append(named.get(getattr(root, "func", None), "label setting"))
+        return lab, root
+
+    def node_paths(v, t, node=None):
+        if node is not None:
+            paths.append("node")
+        return paths_of(v, t, node)
+
+    monkeypatch.setattr(function_envelopes, "_grid_lower", recording)
+    monkeypatch.setattr(function_envelopes, "_grid_paths", node_paths)
+    return paths
+
+
 def record_settled_rows(monkeypatch) -> list[np.ndarray]:
     """Wrap the row kernel's settle test; each `_forward_min` call that
     declines its O(N) path appends its mask of settled rows, so the rows

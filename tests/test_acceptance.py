@@ -410,9 +410,9 @@ def test_c13_performance(monkeypatch):
     assert len(rounds) == 2 and rounds[1] >= 0.9 * m
     # the Hölder envelope and bracket of the 5000-node walk under the
     # concave power:1,0.5, which is certified: the envelope is the one-step
-    # row, tested as a fixpoint, so no round runs; each call runs two
-    # two-sided rows, four halves of tiled rows, which must evaluate under
-    # 25% of their tiles
+    # row, which the table's slack proves exact, so no round runs; the
+    # envelope runs one two-sided row and the bracket two, six halves of
+    # tiled rows, which must evaluate under 25% of their tiles
     concave = power_error(PowerErrorSpec(1.0, 0.5), step, n)
     rounds.clear()
     row_tiles = record_row_tiles(monkeypatch)
@@ -423,7 +423,7 @@ def test_c13_performance(monkeypatch):
     cover = ErrorFn(step, np.full(n, float(concave.values[-1])))
     timed("concave Hölder bracket", lambda: holder_bracket(lower, concave, cover))
     row_blocks = -(-n // scan._SIDE)
-    halves_tiles = 8 * row_blocks * (row_blocks + 1) // 2
+    halves_tiles = 6 * row_blocks * (row_blocks + 1) // 2
     assert rounds == [] and len(row_tiles) < 0.25 * halves_tiles
 
     scans = []

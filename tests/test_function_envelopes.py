@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from approxmono import (
@@ -56,6 +56,7 @@ from helpers import (
     rand_concave_increasing_error,
     rand_error,
     rand_fn,
+    record_holder_paths,
     record_row_tiles,
     record_settled_rows,
     scan_check,
@@ -1398,6 +1399,36 @@ def grid_labels(v, table):
     return dense_label_setting(v, lambda u: sym[n - 1 - u : 2 * n - 1 - u])
 
 
+@st.composite
+def slack_case(draw):
+    """(f, phi) on tables with subadditive slack: strictly concave power
+    tables ``c * k^p`` (0 < p < 1, mostly p = 0.5, exact at perfect
+    squares) and constant ones, at magnitudes c = 2^-10 to 2^23 (1e-3 to
+    1e7), with +-0.0 at offset 0, under f of four levels spaced by c times
+    a power of two, mostly c, so that candidates tie, also at different
+    levels and offsets.  Spacings far above ``2^50 * c`` make the slack
+    certificate decline."""
+    n = draw(st.integers(3, 24))
+    c = 2.0 ** draw(st.integers(-10, 23))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([0.5, 0.5, draw(st.floats(0.05, 0.95))]))
+        table = power_error(PowerErrorSpec(c, p), 1.0, n).values.copy()
+    else:
+        table = np.full(n, c)
+    table[0] = draw(st.sampled_from([0.0, -0.0]))
+    spacing = c * 2.0 ** draw(st.sampled_from([-1, 0, 0, 0, 1, 48, 56]))
+    levels = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    return sfn(np.array(levels) * spacing), efn(table)
+
+
+def slack_certified(case) -> bool:
+    """Whether `_grid_lower` takes the certificate path on the case."""
+    v, t = case[0].values, case[1].values
+    return _nondecreasing_pass(t, 0.0) and function_envelopes._slack_pass(
+        t, _two_sided_min(v, t)
+    )
+
+
 class TestOneStepHolderRows:
     """On a certified table the Hölder envelopes take the one-step row when
     it is a fixpoint of itself; values and sandwich witnesses must stay
@@ -1421,31 +1452,116 @@ class TestOneStepHolderRows:
         assert out is None
         assert w.indices == (i, int(root[i])) and (w.lhs, w.rhs) == (g[i], lab[i] + 0.0)
 
+    @given(slack_case())
+    @settings(max_examples=200, deadline=None)
+    def test_slack_rows_and_roots_equal_label_setting(self, case):
+        # every node in turn is the witness of an infeasible sandwich; where
+        # the certificate passes its root comes from the row, and no label
+        # setting runs for it
+        f, phi = case
+        v, t = f.values, phi.values
+        lab, root = grid_labels(v, t)
+        with pytest.MonkeyPatch.context() as mp:
+            paths = record_holder_paths(mp)
+            assert same_bits(holder_lower_envelope(f, phi).values, lab + 0.0)
+            upper = -grid_labels(-v, t)[0]
+            assert same_bits(holder_upper_envelope(f, phi).values, upper + 0.0)
+            taken = paths[0]
+            assert (taken == "certificate") == slack_certified(case)
+            for i in range(len(v)):
+                g = lab.copy()
+                g[i] = np.nextafter(lab[i], np.inf)
+                paths.clear()
+                out, w = holder_sandwich(SampledFn(f.grid, g), f, phi, 0.0)
+                assert out is None and w.indices == (i, int(root[i]))
+                assert (w.lhs, w.rhs) == (g[i], lab[i] + 0.0)
+                assert paths[0] == taken and ("node" in paths) == (taken == "fixpoint")
+
+    def test_tied_roots_take_the_least_value_then_index(self, monkeypatch):
+        # under sqrt(k), node 0 of h is reached at 2 from node 1 (1 + t[1])
+        # and from node 4 (0 + t[4]): label setting settles node 4 first, so
+        # the root is the least value, not the least index.  In the second
+        # case (the CI workflow's peaks under power:1,0.5 at step 0.5) nodes
+        # 0 and 2 tie at equal values, and the first index wins
+        paths = record_holder_paths(monkeypatch)
+        for step, g, h, pair in (
+            (1.0, [2.5, 0, 0, 0, 0, 0], [3, 1, 9, 9, 0, 9], (0, 4)),
+            (0.5, [0, 1.75, 0, 0, 0], [0, 2, 0, 2, 0], (1, 0)),
+        ):
+            n = len(h)
+            phi = power_error(PowerErrorSpec(1.0, 0.5), step, n)
+            root = grid_labels(np.array(h, dtype=float), phi.values)[1]
+            grid = Grid(0.0, step, n)
+            paths.clear()
+            _, w = holder_sandwich(SampledFn(grid, g), SampledFn(grid, h), phi)
+            assert w.indices == pair == (pair[0], int(root[pair[0]]))
+            assert paths == ["certificate"]
+
+    def test_slack_cases_draw_passes_and_declines(self):
+        assert slack_certified(find(slack_case(), slack_certified))
+        assert not slack_certified(find(slack_case(), lambda c: not slack_certified(c)))
+
     def test_certified_power_tables_take_the_row(self, monkeypatch):
         rounds = count_label_rounds(monkeypatch)
+        paths = record_holder_paths(monkeypatch)
         rng = np.random.default_rng(2303)
         for n in (2, 3, 50, 400):
             step = 1.0 / (n - 1)
             phi = power_error(PowerErrorSpec(0.5, 0.5), step, n)
             f = SampledFn(Grid(0.0, step, n), np.cumsum(rng.normal(0, n**-0.5, n)))
-            env, roots = function_envelopes._grid_lower(f.values, phi.values)
-            if n > 2:  # a two-offset table cannot pass the certificate at tol 0
-                assert _nondecreasing_pass(phi.values, 0.0) and roots is None
-            assert same_bits(env + 0.0, grid_labels(f.values, phi.values)[0] + 0.0)
-        assert len(rounds) == 1
+            env = holder_lower_envelope(f, phi).values
+            assert same_bits(env, grid_labels(f.values, phi.values)[0] + 0.0)
+        # a two-offset table cannot pass the window certificate at tol 0
+        assert paths == ["label setting"] + ["certificate"] * 3 and len(rounds) == 1
+
+    def test_tables_without_slack_decline_the_certificate(self, monkeypatch):
+        # power:1,1 on a dyadic step has t[a] + t[b] - t[a+b] = 0 exactly,
+        # so the window certificate declines it at tol 0 and label setting
+        # runs for every node, roots included.  The sqrt table passes it,
+        # but under f near 2^42 its slack (about phi[1] = 0.0625) is below
+        # the rounding allowance 2^-50 * N * max|f| = 0.25: the row of the
+        # row proves the envelope, and the infeasible sandwich's root takes
+        # label setting for its node
+        n = 64
+        step = 2.0**-6
+        grid = Grid(0.0, step, n)
+        rng = np.random.default_rng(26)
+        rounds = count_label_rounds(monkeypatch)
+        paths = record_holder_paths(monkeypatch)
+        near_2_42 = 2.0**42 + rng.integers(-8, 9, n) * 2.0**-4
+        for (eps, p), vals, want in (
+            ((1.0, 1.0), dyadic(rng, -1, 1, n), ["label setting"] * 2),
+            ((0.5, 0.5), near_2_42, ["fixpoint", "fixpoint", "node"]),
+        ):
+            phi = power_error(PowerErrorSpec(eps, p), step, n)
+            f = SampledFn(grid, vals)
+            lab, root = grid_labels(vals, phi.values)
+            paths.clear()
+            rounds.clear()
+            assert same_bits(holder_lower_envelope(f, phi).values, lab + 0.0)
+            i = int(np.argmax(vals - lab))
+            assert vals[i] > lab[i]
+            g = lab.copy()
+            g[i] += 1.0
+            _, w = holder_sandwich(SampledFn(grid, g), f, phi, 0.0)
+            assert paths == want and len(rounds) == len(want) - want.count("fixpoint")
+            assert w.indices == (i, int(root[i]))
 
     def test_certified_table_missing_its_fixpoint_runs_label_setting(self, monkeypatch):
         # t[2] is 1e-12 below 2 * t[1], a strict concavity the certificate
         # proves; at -9545999.5 the one-step row gives node 2
         # fl(v[0] + t[2]), while two steps of 0.7 round lower, so the row is
-        # no fixpoint and label setting must run
+        # no fixpoint and label setting must run; the slack is far below
+        # the row's rounding, so the slack certificate declines
         t = np.array([0.0, 0.7, 1.3999999999989998])
         f = sfn([-9545999.5, 0.0, 0.0])
         assert _nondecreasing_pass(t, 0.0)
         one_step = _two_sided_min(f.values, t)
         assert not np.array_equal(_two_sided_min(one_step, t), one_step)
         rounds = count_label_rounds(monkeypatch)
+        paths = record_holder_paths(monkeypatch)
         lab, root = grid_labels(f.values, t)
         lower = holder_lower_envelope(f, efn(t)).values
         assert len(rounds) == 1 and same_bits(lower, lab + 0.0)
+        assert paths == ["label setting"]
         assert lower[2] < one_step[2] and list(root) == [0, 0, 0]

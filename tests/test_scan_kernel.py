@@ -125,6 +125,33 @@ def largest_or_overflow(rows, margins, first=0) -> float:
     return m if m < math.inf else math.nan
 
 
+@st.composite
+def two_tile_margins(draw):
+    """(a, b, c) for `scan._diagonal_violation` with its largest margin, 1,
+    planted at (k, i) and at (k, j) in a later position block, and a large
+    operand a[x] > 1 in j's block past j + k, with b = a[x] from x on, so
+    that no pair of x violates.  The later tile's bound exceeds 1 and it is
+    visited first; the earlier one's bound is exactly 1 and it holds the
+    first pair.  Dyadic noise elsewhere keeps every other margin below 1."""
+    side = scan._SIDE
+    n = draw(st.integers(side + 2, 3 * side))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    j = draw(st.integers(side, n - 2).filter(lambda j: j % side < side - 1))
+    end = min(n, (j // side + 1) * side)  # x lies in j's block, past j + k
+    k = draw(st.integers(0, end - j - 2))
+    x = draw(st.integers(j + k + 1, end - 1))
+    i = draw(st.integers(0, (j // side) * side - 1))
+    a = rng.integers(-64, 33, n) * 2.0**-6  # at most 0.5
+    b = rng.integers(0, 65, n) * 2.0**-6
+    c = 0.5 + rng.integers(0, 65, n) * 2.0**-6
+    big = draw(st.sampled_from([1.5, 5.0, 1e300]))
+    a[[i, j, x]] = 1.0, 1.0, big
+    b[[i + k, j + k]] = 0.0
+    b[x:] = big
+    c[k] = 0.0
+    return a, b, c
+
+
 class TestShapesMatchTheRowLoop:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -171,6 +198,18 @@ class TestShapesMatchTheRowLoop:
         i, j = pair
         assert got[1].indices == pair
         assert bits(got[1].lhs, got[1].rhs) == bits(g[i], h[j] + sig[j - i])
+
+    @given(two_tile_margins(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_margins_in_two_tiles(self, case, data):
+        # the tie rule at random sizes: the earlier tile's bound equals the
+        # best margin once the later tile is evaluated, and its first cell
+        # comes before the best pair, so it must not be skipped
+        a, b, c = case
+        n = len(a)
+        tol = data.draw(tolerance(1.0))
+        want = loop_max_violation(n, diagonal_rows(a, b, c), tol)
+        assert scan._diagonal_violation(a, b, c, tol) == want
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
