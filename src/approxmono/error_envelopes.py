@@ -233,10 +233,7 @@ def subadditive_envelope(phi: ErrorFn) -> ErrorFn:
 
 @np.errstate(over="ignore")  # an inf candidate never undercuts a label
 def _label_setting(
-    labels: np.ndarray,
-    row: Callable[[int], np.ndarray],
-    cmin: float,
-    node: int | None = None,
+    labels: np.ndarray, row: Callable[[int], np.ndarray], cmin: float
 ):
     """Shortest paths over N nodes from starting labels, by dense label setting.
 
@@ -256,17 +253,6 @@ def _label_setting(
     and only a strictly smaller one changes a label or a root.  When L is
     inf, every open label is inf and the test holds, as it should.  Labels
     only fall, so ``max(lab)`` is taken again only after a round lowers one.
-
-    With ``node``, only that node's label and root are wanted, and the
-    rounds stop before settling u once ``lab[node] <= fl(L + cmin)``.  They
-    are then those of the full N rounds: by the same argument, a later
-    candidate for node from another source is at least ``fl(L + cmin)``,
-    hence at least ``lab[node]``, and one from node itself is at least its
-    own label; no later candidate for node is strictly smaller, so none
-    moves its label or its root.  The other labels and roots may still be
-    open.  A witness needs one root, so an infeasible Hölder sandwich asks
-    for that node's alone, on a table whose slack does not give it from
-    the one-step row (`function_envelopes._row_root`).
     """
     lab = np.array(labels, dtype=float)
     root = np.arange(len(lab))
@@ -274,7 +260,7 @@ def _label_setting(
     top = lab.max()
     for _ in range(len(lab)):
         u = int(np.argmin(open_lab))
-        if (top if node is None else lab[node]) <= open_lab[u] + cmin:
+        if top <= open_lab[u] + cmin:
             break
         open_lab[u] = np.inf
         cand = lab[u] + row(u)

@@ -10,24 +10,22 @@ minimum, and otherwise settles every row it can prove by Ziv's rounding
 test, made exact with Dekker's double-double products and sums.  The rows
 left open are evaluated on tiles of positions by offsets, each bounded
 below from block minima, visited in order of bound and skipped once no
-bound can lower a row; a block with few open rows runs them one by one.
+bound can lower a row (`scan._tiled_rows`, which also computes the
+individual tables); a block with few open rows runs them one by one.
 The strict bracket row is the kernel on ``f[1:]`` and ``table[1:]``, the
 Hölder bracket row the lesser of the kernel on f and on its reversal; every
 max side is a reflection.  The Hölder envelopes and sandwich use
 ``min over j of f[j] + d(j, i)``, with d(j, i) the cheapest path from node j
 to node i through grid nodes, paying ``phi[|u-v|]`` per step u -> v.  On a
-table certified subadditive and nondecreasing that is the one-step row
-``min over j of f[j] + phi[|j-i|]`` whenever the same row taken of its
-output gives the output back.  When the table's subadditive slack exceeds
-the row's rounding, an O(N) certificate proves that and gives a path's
-root from the row; otherwise the row of the row is tested, and label
-setting finds what no test proves, stopping once no label can be
-undercut.  The kernels compute
-values only; each operator returns through `_envelope`, which makes every
-zero +0.0 and raises OverflowError past the double range.  The brackets
-check their table hypotheses with the subadditivity scans of
-`error_envelopes`, the companion table psi on the right; no table is
-scanned here.
+table certified subadditive and nondecreasing whose subadditive slack
+exceeds the rounding of the one-step row ``min over j of f[j] +
+phi[|j-i|]``, an O(N) certificate proves that row the envelope and gives a
+path's root from it; every other table takes label setting, stopping once
+no label can be undercut.  The kernels compute values only; each operator
+returns through `_envelope`, which makes every zero +0.0 and raises
+OverflowError past the double range.  The brackets check their table
+hypotheses with the subadditivity scans of `error_envelopes`, the
+companion table psi on the right; no table is scanned here.
 """
 from __future__ import annotations
 
@@ -61,14 +59,7 @@ from .error_envelopes import (
     absolutely_subadditive_envelope,
     subadditive_envelope,
 )
-from .scan import (
-    _SIDE,
-    _ahead,
-    _block_pairs,
-    _blocks,
-    _diagonal_violation,
-    _shifted_violation,
-)
+from .scan import _SIDE, _diagonal_violation, _shifted_violation, _tiled_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,65 +118,6 @@ def _forward_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
     if tiled.any():
         _tiled_rows(v, table, out, rows[tiled])
     return out
-
-
-def _tile_mins(
-    ahead: np.ndarray, table: np.ndarray, rows: np.ndarray, k0: int, k1: int
-) -> np.ndarray:
-    """Minima over the offsets k0..k1-1 of ``v[i+k] + table[k]`` for each
-    row i, with ``+inf`` where i + k runs past the end (``ahead`` holds the
-    padded windows of v)."""
-    tile = ahead[rows + k0, : k1 - k0]  # a copy
-    tile += table[k0:k1]
-    return tile.min(axis=1)
-
-
-@np.errstate(over="ignore")  # an inf sum never undercuts a finite one
-def _tiled_rows(
-    v: np.ndarray, table: np.ndarray, out: np.ndarray, rows: np.ndarray
-) -> None:
-    """Lower ``out[i]``, a sum of row i of `_forward_min`, to the row's
-    minimum for the given rows i (ascending), evaluating only the tiles
-    that can hold a smaller sum.
-
-    The (position, offset) plane is cut into tiles of ``_SIDE`` positions
-    by ``_SIDE`` offsets: position block p by offset block q.  For i in
-    block p and k in block q, ``i + k`` lies in blocks p+q and p+q+1, so
-    the tile's bound ``fl(min v[blocks p+q, p+q+1] + min table[block q])``
-    is at most each of its float sums: rounding is monotone.  Positions
-    with ``i + k >= N`` read ``+inf`` from the padding, so their sum is
-    +inf and lowers no row; the tiles with q < nb - p hold every pair
-    i + k < N of block p.
-
-    The given rows of each block visit its tiles in order of ascending
-    bound; each tile is evaluated on those rows and folded into them by
-    ``min``.  The visit stops at the first tile whose bound is at least the
-    largest running row: every sum in it, and in every later tile, is at
-    least each row, so skipping them leaves every row unchanged.  A min
-    does not depend on the order of its operands, so each row ends as the
-    least of its sums: the loop's value (the sign of a zero aside, which
-    `_envelope` fixes).  Inputs are finite, so no sum is NaN.  The bounds
-    and windows are built here, only for a call that has a block to tile.
-    """
-    n = len(v)
-    side = _SIDE
-    nb = -(-n // side)
-    low = _block_pairs(v, side, nb, np.minimum)
-    least = _blocks(table[:n], side, nb, np.minimum)
-    ahead = _ahead(v, np.inf)
-    cuts = np.flatnonzero(np.diff(rows // side)) + 1
-    for idx in np.split(rows, cuts):
-        p = int(idx[0]) // side
-        run = out[idx]
-        bound = low[p:] + least[: nb - p]  # the tiles that hold a pair i + k < N
-        order = np.argsort(bound)
-        for q, b in zip(order.tolist(), bound[order].tolist()):
-            if b >= run.max():
-                break
-            k0 = q * side
-            tile = _tile_mins(ahead, table, idx, k0, min(k0 + side, n))
-            np.minimum(run, tile, out=run)
-        out[idx] = run
 
 
 @np.errstate(over="ignore")  # a ramp past the double range is not the table
@@ -398,50 +330,41 @@ def _grid_table(f: SampledFn, phi: ErrorFn) -> np.ndarray:
     return offsets_table(f, phi)
 
 
-def _grid_paths(v: np.ndarray, t: np.ndarray, node: int | None = None):
+def _grid_paths(v: np.ndarray, t: np.ndarray):
     """``(labels, roots)`` of label setting from the labels v over the grid
     costs ``t[|w-u|]``: ``min over j of v[j] + d(j, i)`` and its root j for
-    every node i, or for the given node only (`_label_setting`).  Row u of
-    the costs is a mirrored slice of the table."""
+    every node i.  Row u of the costs is a mirrored slice of the table."""
     n = len(t)
     sym = np.concatenate([t[:0:-1], t])
     cmin = float(t[1:].min())
-    return _label_setting(v, lambda u: sym[n - 1 - u : 2 * n - 1 - u], cmin, node)
+    return _label_setting(v, lambda u: sym[n - 1 - u : 2 * n - 1 - u], cmin)
 
 
 def _grid_lower(v: np.ndarray, t: np.ndarray):
     """``(labels, root)``: ``min over j of v[j] + d(j, i)`` for every node i
     and ``root(i)``, the root of node i's path, both as label setting ends
-    with them after all N rounds (`_grid_paths`).  The labels are the
-    one-step row ``R = min over j of v[j] + t[|j-i|]`` when R is a fixpoint
-    of that row, ``fl(R[u] + t[|w-u|]) >= R[w]`` for every pair; then only
-    the root a caller asks for is found.
+    with them after all N rounds (`_grid_paths`).  On a table that
+    `_nondecreasing_pass` certifies subadditive and nondecreasing, and whose
+    slack `_slack_pass` proves above the rounding of the one-step row
+    ``R = min over j of v[j] + t[|j-i|]``, the labels are R and a root is
+    read off it (`_row_root`) in O(N); every other table, rough ones without
+    computing R, takes label setting.
 
-    Why R is then the labels.  No label is ever below R: a starting label
-    is ``v[i] = fl(v[i] + t[0]) >= R[i]``, t[0] being a zero, and a
-    candidate ``fl(lab[u] + t[|w-u|])`` is at least ``fl(R[u] + t[|w-u|])``
-    by monotone rounding, hence at least R[w] by the fixpoint.  After all N
+    Why R is the labels when it is a fixpoint of its row,
+    ``fl(R[u] + t[|w-u|]) >= R[w]`` for every pair, which `_slack_pass`
+    proves.  No label is ever below R: a starting label is
+    ``v[i] = fl(v[i] + t[0]) >= R[i]``, t[0] being a zero, and a candidate
+    ``fl(lab[u] + t[|w-u|])`` is at least ``fl(R[u] + t[|w-u|])`` by
+    monotone rounding, hence at least R[w] by the fixpoint.  After all N
     rounds no label is above R: R[i] is ``fl(v[j] + t[|j-i|])`` for some j,
     and node j has settled with a label of at most v[j], since labels only
-    fall, so its candidate for i was at most R[i].  `_label_setting` keeps
-    the bits of all N rounds when it exits early, so its labels are R (up
+    fall, so its candidate for i was at most R[i].  So the labels are R (up
     to the sign of a zero, which `_envelope` fixes).
-
-    The fixpoint is tried only where `_nondecreasing_pass` certifies the
-    table subadditive and nondecreasing, so that R is the fixpoint in exact
-    arithmetic (``t[|j-w|] <= t[|j-u|] + t[|u-w|]``), and a rough table
-    does not pay for rows it cannot use.  `_slack_pass` proves it in O(N)
-    when the table's slack exceeds R's rounding, and the root is then read
-    off the row (`_row_root`).  Otherwise the row of R is computed and
-    compared, and the root takes label setting for one node
-    (`_path_root`); when that fails too, label setting runs for all.
     """
     if _nondecreasing_pass(t, 0.0):
         r = _two_sided_min(v, t)
         if _slack_pass(t, r):
             return r, partial(_row_root, v, t, r)
-        if np.array_equal(_two_sided_min(r, t), r):
-            return r, partial(_path_root, v, t)
     lab, roots = _grid_paths(v, t)
     return lab, roots.item
 
@@ -522,11 +445,6 @@ def _row_root(v: np.ndarray, t: np.ndarray, r: np.ndarray, i: int) -> int:
         return i
     hit = np.flatnonzero(v + t[np.abs(np.arange(len(v)) - i)] == r[i])
     return int(hit[np.argmin(v[hit])])
-
-
-def _path_root(v: np.ndarray, t: np.ndarray, i: int) -> int:
-    """The root of node i by label setting, run until that root is final."""
-    return int(_grid_paths(v, t, i)[1][i])
 
 
 def _backward_max(v: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -631,10 +549,9 @@ def holder_sandwich(
     envelope most, paired with the root j of its cheapest path:
     ``lhs = g[i]`` and ``rhs = h[j] + d(j, i)``, the envelope at i.  Only
     that witness needs a root.  Where the envelope is the one-step row of
-    `_grid_lower`, a row `_slack_pass` proves gives it in O(N): i itself
+    `_grid_lower`, which `_slack_pass` proves, it comes in O(N): i itself
     when h[i] is the envelope at i, otherwise the least ``(h[j], j)``
-    whose one-step sum is (`_row_root`).  A row the fixpoint test proves
-    runs label setting until the root of node i is final.
+    whose one-step sum is (`_row_root`); elsewhere label setting gives it.
     """
     check_tolerance(tol)
     if not g.grid.compatible(h.grid):

@@ -1,5 +1,6 @@
-"""The violation scan shared by every pair check, and the tile helpers of
-the three tiled kernels.
+"""The two tiled kernels: the violation scan shared by every pair check,
+and the min-plus rows shared by the function envelopes and the individual
+tables.
 
 Each check is a largest-margin search over a triangle of (row, position)
 pairs.  `_max_violation` cuts the triangle into tiles of ``_SIDE`` rows by
@@ -8,6 +9,8 @@ evaluates whole tiles, one 2-D numpy operation each, in order of descending
 bound until no bound can reach the best margin.  `_diagonal_violation`
 serves the membership checks and the monotone sandwich,
 `_shifted_violation` the table inequalities and the Hölder sandwich.
+`_tiled_rows` lowers rows ``min over k of v[i+k] + table[k]`` the same way,
+tile by tile in order of ascending bound.
 """
 from __future__ import annotations
 
@@ -18,9 +21,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
-#: Side of the square tiles of every tiled kernel: the violation scan, the
-#: individual tables and the min-plus rows.  On walks and waves of 1k-20k
-#: nodes it measured as fast as any other side for each of them.
+#: Side of the square tiles of both tiled kernels: the violation scan and
+#: the min-plus rows, which also compute the individual tables.  On walks
+#: and waves of 1k-20k nodes it measured as fast as any other side for each.
 _SIDE = 128
 
 
@@ -168,3 +171,65 @@ def _shifted_violation(
     bound = sliding_window_view(a_max, nw) - b_min[:, None]
     bound -= c_min
     return _max_violation(rows, width, tile, bound, tol)
+
+
+def _tile_mins(
+    ahead: np.ndarray, table: np.ndarray, rows: np.ndarray, k0: int, k1: int
+) -> np.ndarray:
+    """Minima over the offsets k0..k1-1 of ``v[i+k] + table[k]`` for each
+    row i, with ``+inf`` where i + k runs past the end (``ahead`` holds the
+    padded windows of v)."""
+    tile = ahead[rows + k0, : k1 - k0]  # a copy
+    tile += table[k0:k1]
+    return tile.min(axis=1)
+
+
+@np.errstate(over="ignore")  # an overflowed sum is inf; callers check the rows
+def _tiled_rows(
+    v: np.ndarray, table: np.ndarray, out: np.ndarray, rows: np.ndarray
+) -> None:
+    """For the given rows i (ascending), each row ends as ``min(out[i], row
+    minimum)``, the row minimum being ``min over k < N - i of
+    fl(v[i+k] + table[k])``; only the tiles that can hold a smaller sum
+    are evaluated.
+
+    The (row, offset) plane is cut into tiles of ``_SIDE`` rows by
+    ``_SIDE`` offsets: row block p by offset block q.  For i in block p and
+    k in block q, ``i + k`` lies in blocks p+q and p+q+1, so the tile's
+    bound ``fl(min v[blocks p+q, p+q+1] + min table[block q])`` is at most
+    each of its float sums: rounding is monotone.  Rows with
+    ``i + k >= N`` read ``+inf`` from the padding, so their sum is +inf and
+    lowers no row; the tiles with q < nb - p hold every pair i + k < N of
+    block p.
+
+    The given rows of each block visit its tiles in order of ascending
+    bound; each tile is evaluated on those rows and folded into them by
+    ``min``.  The visit stops at the first tile whose bound is at least the
+    largest running row: every sum in it, and in every later tile, is at
+    least each row, so skipping them leaves every row unchanged, whatever
+    value it started from.  A min does not depend on the order of its
+    operands, so each row ends as the least of its start and its sums (the
+    sign of a zero aside, which callers fix).  Inputs are finite, so no sum
+    is NaN; a sum that overflows to -inf lies in a tile of bound -inf,
+    which is evaluated unless its rows are already -inf.  The bounds and
+    windows are built here, only for a call that has a block to tile.
+    """
+    n = len(v)
+    side = _SIDE
+    nb = -(-n // side)
+    low = _block_pairs(v, side, nb, np.minimum)
+    least = _blocks(table[:n], side, nb, np.minimum)
+    ahead = _ahead(v, np.inf)
+    cuts = np.flatnonzero(np.diff(rows // side)) + 1
+    for idx in np.split(rows, cuts):
+        p = int(idx[0]) // side
+        run = out[idx]
+        bound = low[p:] + least[: nb - p]  # the tiles that hold a pair i + k < N
+        order = np.argsort(bound)
+        for q, b in zip(order.tolist(), bound[order].tolist()):
+            if b >= run.max():
+                break
+            k0 = q * side
+            tile = _tile_mins(ahead, table, idx, k0, min(k0 + side, n))
+            np.minimum(run, tile, out=run)
+        out[idx] = run

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from approxmono import error_envelopes, function_envelopes, individual
+from approxmono import error_envelopes, function_envelopes, scan
 from approxmono import (
     ErrorFn,
     Grid,
@@ -31,6 +31,13 @@ def dyadic(rng: np.random.Generator, lo: float, hi: float, size: int) -> np.ndar
     lo_i = math.ceil(lo / SCALE)
     hi_i = math.floor(hi / SCALE)
     return rng.integers(lo_i, hi_i + 1, size).astype(float) * SCALE
+
+
+def exact_sums(v: np.ndarray) -> bool:
+    """Whether v lies on the lattice of `dyadic` below 2^30, where every sum
+    of a few dozen of its values is exact."""
+    units = v / SCALE
+    return bool(np.array_equal(units, np.round(units)) and np.abs(v).max() < 2.0**30)
 
 
 def rand_fn(rng: np.random.Generator, grid: Grid, amp: float = 2.0) -> SampledFn:
@@ -276,14 +283,14 @@ def count_label_rounds(monkeypatch) -> list[int]:
     kernel = error_envelopes._label_setting
     rounds: list[int] = []
 
-    def counting(labels, row, cmin, node=None):
+    def counting(labels, row, cmin):
         rounds.append(0)
 
         def counted(u):
             rounds[-1] += 1
             return row(u)
 
-        return kernel(labels, counted, cmin, node)
+        return kernel(labels, counted, cmin)
 
     monkeypatch.setattr(error_envelopes, "_label_setting", counting)
     monkeypatch.setattr(function_envelopes, "_label_setting", counting)
@@ -291,29 +298,19 @@ def count_label_rounds(monkeypatch) -> list[int]:
 
 
 def record_holder_paths(monkeypatch) -> list[str]:
-    """Wrap the Hölder envelopes' kernel and its label setting for one root.
-    Each `_grid_lower` call appends the proof its labels took:
-    "certificate" (`_slack_pass`), "fixpoint" (the row of the row) or
-    "label setting"; each root asked of label setting appends "node"."""
-    lower, paths_of = function_envelopes._grid_lower, function_envelopes._grid_paths
-    named = {
-        function_envelopes._row_root: "certificate",
-        function_envelopes._path_root: "fixpoint",
-    }
+    """Wrap the Hölder envelopes' kernel; each `_grid_lower` call appends
+    the path its labels took: "certificate" (`_slack_pass`) or
+    "label setting"."""
+    lower = function_envelopes._grid_lower
     paths: list[str] = []
 
     def recording(v, t):
         lab, root = lower(v, t)
-        paths.append(named.get(getattr(root, "func", None), "label setting"))
+        certified = getattr(root, "func", None) is function_envelopes._row_root
+        paths.append("certificate" if certified else "label setting")
         return lab, root
 
-    def node_paths(v, t, node=None):
-        if node is not None:
-            paths.append("node")
-        return paths_of(v, t, node)
-
     monkeypatch.setattr(function_envelopes, "_grid_lower", recording)
-    monkeypatch.setattr(function_envelopes, "_grid_paths", node_paths)
     return paths
 
 
@@ -333,31 +330,19 @@ def record_settled_rows(monkeypatch) -> list[np.ndarray]:
     return masks
 
 
-def record_tiles(monkeypatch) -> list[tuple[int, int]]:
-    """Wrap the individual tables' tile evaluation; each tile the kernel
-    evaluates appends its first offset and first position."""
-    tile_rows = individual._tile_rows
-    tiles: list[tuple[int, int]] = []
-
-    def recording(v, ahead, k0, k1, i0, i1):
-        tiles.append((k0, i0))
-        return tile_rows(v, ahead, k0, k1, i0, i1)
-
-    monkeypatch.setattr(individual, "_tile_rows", recording)
-    return tiles
-
-
 def record_row_tiles(monkeypatch) -> list[tuple[int, int]]:
-    """Wrap the min-plus rows' tile evaluation; each tile `_forward_min`
-    evaluates appends its first position and first offset."""
-    tile_mins = function_envelopes._tile_mins
+    """Wrap the tiled row kernel's tile evaluation; each tile that
+    `_forward_min` or the individual tables evaluate appends its first row
+    and first offset (for an individual table, its first offset and first
+    position)."""
+    tile_mins = scan._tile_mins
     tiles: list[tuple[int, int]] = []
 
     def recording(ahead, table, rows, k0, k1):
         tiles.append((int(rows[0]), k0))
         return tile_mins(ahead, table, rows, k0, k1)
 
-    monkeypatch.setattr(function_envelopes, "_tile_mins", recording)
+    monkeypatch.setattr(scan, "_tile_mins", recording)
     return tiles
 
 

@@ -38,7 +38,7 @@ from approxmono import (
     subadditive_envelope,
     total_phi_variation,
 )
-from approxmono import individual, scan
+from approxmono import scan
 from approxmono.grid import _star_shaped
 from helpers import (
     brute_alpha,
@@ -53,7 +53,6 @@ from helpers import (
     rand_fn,
     record_row_tiles,
     record_settled_rows,
-    record_tiles,
 )
 
 
@@ -446,10 +445,10 @@ def test_c13_performance(monkeypatch):
     # the individual tables of a 20000-node walk: the kernel evaluates under
     # 40% of its tiles per table (alpha runs it on f and on -f)
     big = 20000
-    blocks = -(-big // individual._SIDE)
+    blocks = -(-big // scan._SIDE)
     tiles_per_table = blocks * (blocks + 1) // 2
     long_walk = SampledFn(Grid(0.0, 1.0, big), np.cumsum(rng.normal(size=big)))
-    tiles = record_tiles(monkeypatch)
+    tiles = record_row_tiles(monkeypatch)
     timed("individual sigma", lambda: individual_sigma(long_walk))
     assert len(tiles) < 0.4 * tiles_per_table
     tiles.clear()

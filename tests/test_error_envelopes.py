@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from approxmono import error_envelopes, function_envelopes, grid, scan
@@ -37,6 +37,7 @@ from helpers import (
     dense_label_setting,
     dyadic,
     exact_relative_margin,
+    exact_sums,
     heap_alpha,
     largest_margin,
     loop_sigma,
@@ -455,12 +456,25 @@ class TestSubadditiveTablesAreTheirOwnEnvelopes:
             assert np.array_equal(got, brute_sigma(v))
 
     @given(own_envelope_table())
+    @example(
+        np.array(
+            [0.0, 4048.859191815208, 8097.718383630417, 2030.8955479900483, 327.6790632020454]
+        )
+    )
+    @example(np.array([0.0, 1.5, 2.0, 2.25, 3.0]))
     @settings(max_examples=400, deadline=None)
     def test_alpha_equals_dense_label_setting(self, v):
+        # the brute search adds its parts in another order, so it gives
+        # alpha's bits only where every sum is exact: on the first example,
+        # alpha[2] is one ulp below it
         got = absolutely_subadditive_envelope(ErrorFn(1.0, v)).values
         assert same_bits(got, dense_alpha(v))
         if len(v) <= 6 and v[1:].min() > 0:
-            assert np.array_equal(got, brute_alpha(v))
+            want = brute_alpha(v)
+            if exact_sums(v):
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= len(v) * 2.0**-52 * v.max()
 
     @given(own_envelope_table(), st.sampled_from([0.0, 1e-9]))
     @settings(max_examples=400, deadline=None)
@@ -858,19 +872,6 @@ class TestLabelSettingExit:
         assert same_bits(lab, want_lab)
         assert np.array_equal(root, want_root)
 
-    @given(label_case(), st.sampled_from([grid_rows, folded_rows]), st.data())
-    @settings(max_examples=400, deadline=None)
-    def test_one_node_stops_with_its_label_and_root(self, case, rows, data):
-        # asked for one node, the rounds stop once its label is final; its
-        # label and root must be those of all N dense rounds
-        labels, table = case
-        row, cmin = rows(table)
-        node = data.draw(st.integers(0, len(labels) - 1))
-        lab, root = error_envelopes._label_setting(labels, row, cmin, node)
-        want_lab, want_root = dense_label_setting(labels, row)
-        assert same_bits(lab[node : node + 1], want_lab[node : node + 1])
-        assert root[node] == want_root[node]
-
     @given(label_case(), st.integers(1, 3))
     @settings(max_examples=200, deadline=None)
     def test_grid_envelope_with_a_longer_table(self, case, extra):
@@ -925,9 +926,9 @@ class TestLabelSettingExit:
         # exit cannot fire early.  The table itself runs no round: the
         # window certificate proves it subadditive and it is nondecreasing,
         # so it is its own alpha, and the walk's Hölder envelope is the
-        # one-step row, a fixpoint of itself.  With its last entry one ulp
-        # above the least phi[j] + phi[N-1-j] the certificate declines, and
-        # alpha and the envelope run the dense kernel again
+        # one-step row, which its slack proves exact.  With its last entry
+        # one ulp above the least phi[j] + phi[N-1-j] the certificate
+        # declines, and alpha and the envelope run the dense kernel again
         rounds = count_label_rounds(monkeypatch)
         n = 2000
         step = 1.0 / (n - 1)

@@ -1313,7 +1313,10 @@ class TestTiledRows:
     @given(tile_case(max_size=120))
     @settings(max_examples=300, deadline=None)
     def test_bit_equal_at_a_small_side(self, case):
-        with mock.patch.multiple(function_envelopes, _SIDE=5, _TILE_ROWS=2):
+        with (
+            mock.patch.object(scan, "_SIDE", 5),
+            mock.patch.object(function_envelopes, "_TILE_ROWS", 2),
+        ):
             self.check(*case)
 
     @staticmethod
@@ -1348,8 +1351,8 @@ class TestTiledRows:
 
     def test_concave_walk_evaluates_few_tiles(self, monkeypatch):
         # the Hölder envelope of a 2000-node walk under power:0.5,0.5 is the
-        # one-step row, checked as a fixpoint: two two-sided rows, four
-        # halves of nb * (nb + 1) / 2 tiles each
+        # one-step row, which the table's slack proves exact: one two-sided
+        # row, two halves of nb * (nb + 1) / 2 tiles each
         n = 2000
         step = 1.0 / (n - 1)
         phi = power_error(PowerErrorSpec(0.5, 0.5), step, n)
@@ -1359,7 +1362,7 @@ class TestTiledRows:
         tiles = record_row_tiles(monkeypatch)
         lower = holder_lower_envelope(f, phi).values
         nb = -(-n // scan._SIDE)
-        assert rounds == [] and len(tiles) < 0.35 * 4 * nb * (nb + 1) // 2
+        assert rounds == [] and len(tiles) < 0.35 * 2 * nb * (nb + 1) // 2
         assert same_bits(lower, loop_holder_lower(walk, phi.values) + 0.0)
 
 
@@ -1431,8 +1434,8 @@ def slack_certified(case) -> bool:
 
 class TestOneStepHolderRows:
     """On a certified table the Hölder envelopes take the one-step row when
-    it is a fixpoint of itself; values and sandwich witnesses must stay
-    those of all N rounds of label setting."""
+    its slack proves it exact, and label setting otherwise; values and
+    sandwich witnesses must stay those of all N rounds of label setting."""
 
     @given(certified_case())
     @settings(max_examples=300, deadline=None)
@@ -1456,8 +1459,8 @@ class TestOneStepHolderRows:
     @settings(max_examples=200, deadline=None)
     def test_slack_rows_and_roots_equal_label_setting(self, case):
         # every node in turn is the witness of an infeasible sandwich; where
-        # the certificate passes its root comes from the row, and no label
-        # setting runs for it
+        # the certificate passes its root comes from the row, elsewhere from
+        # label setting
         f, phi = case
         v, t = f.values, phi.values
         lab, root = grid_labels(v, t)
@@ -1475,7 +1478,7 @@ class TestOneStepHolderRows:
                 out, w = holder_sandwich(SampledFn(f.grid, g), f, phi, 0.0)
                 assert out is None and w.indices == (i, int(root[i]))
                 assert (w.lhs, w.rhs) == (g[i], lab[i] + 0.0)
-                assert paths[0] == taken and ("node" in paths) == (taken == "fixpoint")
+                assert paths == [taken]
 
     def test_tied_roots_take_the_least_value_then_index(self, monkeypatch):
         # under sqrt(k), node 0 of h is reached at 2 from node 1 (1 + t[1])
@@ -1519,9 +1522,8 @@ class TestOneStepHolderRows:
         # so the window certificate declines it at tol 0 and label setting
         # runs for every node, roots included.  The sqrt table passes it,
         # but under f near 2^42 its slack (about phi[1] = 0.0625) is below
-        # the rounding allowance 2^-50 * N * max|f| = 0.25: the row of the
-        # row proves the envelope, and the infeasible sandwich's root takes
-        # label setting for its node
+        # the rounding allowance 2^-50 * N * max|f| = 0.25, so label setting
+        # runs there too
         n = 64
         step = 2.0**-6
         grid = Grid(0.0, step, n)
@@ -1531,7 +1533,7 @@ class TestOneStepHolderRows:
         near_2_42 = 2.0**42 + rng.integers(-8, 9, n) * 2.0**-4
         for (eps, p), vals, want in (
             ((1.0, 1.0), dyadic(rng, -1, 1, n), ["label setting"] * 2),
-            ((0.5, 0.5), near_2_42, ["fixpoint", "fixpoint", "node"]),
+            ((0.5, 0.5), near_2_42, ["label setting"] * 2),
         ):
             phi = power_error(PowerErrorSpec(eps, p), step, n)
             f = SampledFn(grid, vals)
@@ -1544,7 +1546,7 @@ class TestOneStepHolderRows:
             g = lab.copy()
             g[i] += 1.0
             _, w = holder_sandwich(SampledFn(grid, g), f, phi, 0.0)
-            assert paths == want and len(rounds) == len(want) - want.count("fixpoint")
+            assert paths == want and len(rounds) == len(want)
             assert w.indices == (i, int(root[i]))
 
     def test_certified_table_missing_its_fixpoint_runs_label_setting(self, monkeypatch):

@@ -18,18 +18,18 @@ from approxmono import (
     monotone_lower_envelope,
     subadditive_envelope,
 )
-from approxmono import individual
+from approxmono import scan
 from helpers import (
     dyadic,
     loop_individual,
     mono_member,
     rand_error,
     rand_fn,
-    record_tiles,
+    record_row_tiles,
     same_bits,
 )
 
-SIDE = individual._SIDE
+SIDE = scan._SIDE
 
 # Sizes below, at and just past one tile, and into a third block of offsets.
 SIZES = [2, 3, SIDE - 1, SIDE, SIDE + 1, 2 * SIDE + 1]
@@ -197,7 +197,7 @@ class TestTiledKernelMatchesTheLoop:
     def test_bit_equal_sign_bits_included(self, side, v, kind):
         want = loop_individual(v, kind)
         op = individual_sigma if kind == "sigma" else individual_alpha
-        with warnings.catch_warnings(), mock.patch.object(individual, "_SIDE", side):
+        with warnings.catch_warnings(), mock.patch.object(scan, "_SIDE", side):
             warnings.simplefilter("error")
             if not np.all(np.isfinite(want)):
                 with pytest.raises(OverflowError, match="overflows the double range"):
@@ -211,7 +211,7 @@ class TestTiledKernelMatchesTheLoop:
         blocks = -(-n // SIDE)
         tiles_per_table = blocks * (blocks + 1) // 2
         f = sfn(np.cumsum(np.random.default_rng(2101).normal(size=n)))
-        tiles = record_tiles(monkeypatch)
+        tiles = record_row_tiles(monkeypatch)
         sigma = individual_sigma(f).values
         assert len(set(tiles)) == len(tiles) < 0.4 * tiles_per_table
         tiles.clear()
@@ -221,6 +221,6 @@ class TestTiledKernelMatchesTheLoop:
         assert same_bits(alpha, loop_individual(f.values, "alpha"))
 
     def test_constant_evaluates_no_tile(self, monkeypatch):
-        tiles = record_tiles(monkeypatch)
+        tiles = record_row_tiles(monkeypatch)
         out = individual_alpha(sfn(np.full(3 * SIDE, 7.0)))
         assert tiles == [] and same_bits(out.values, np.zeros(3 * SIDE))
