@@ -4,26 +4,26 @@ The monotone operators and the Hölder bracket replace the error table by its
 subadditive (or absolutely subadditive) envelope, which keeps membership and
 makes them idempotent on grids.  All of them run one min-plus row kernel,
 ``min over j >= i of f[j] + table[j-i]`` (`_forward_min`).  It settles a row
-without its loop when no candidate can undercut its own node.  On a linear
-table ``fl((k+s) * c)`` it runs in O(N) when few pairs can hold a row's
-minimum, and otherwise settles every row it can prove by Ziv's rounding
-test, made exact with Dekker's double-double products and sums.  The rows
-left open are evaluated on tiles of positions by offsets, each bounded
-below from block minima, visited in order of bound and skipped once no
-bound can lower a row (`scan._tiled_rows`, which also computes the
-individual tables); a block with few open rows runs them one by one.
-The strict bracket row is the kernel on ``f[1:]`` and ``table[1:]``, the
-Hölder bracket row the lesser of the kernel on f and on its reversal; every
-max side is a reflection.  The Hölder envelopes and sandwich use
-``min over j of f[j] + d(j, i)``, with d(j, i) the cheapest path from node j
-to node i through grid nodes, paying ``phi[|u-v|]`` per step u -> v.  On a
-table certified subadditive and nondecreasing whose subadditive slack
-exceeds the rounding of the one-step row ``min over j of f[j] +
-phi[|j-i|]``, an O(N) certificate proves that row the envelope and gives a
-path's root from it; every other table takes label setting, stopping once
-no label can be undercut.  The kernels compute values only; each operator
-returns through `_envelope`, which makes every zero +0.0 and raises
-OverflowError past the double range.  The brackets check their table
+without its loop when no candidate can undercut its two nearest.  On a table
+linear past offset 0, ``fl(k * c)`` for k >= 1, it runs in O(N) when few
+pairs can hold a row's minimum, and otherwise settles every row it can
+prove by Ziv's rounding test, made exact with Dekker's double-double
+products and sums.  The rows left open are evaluated on tiles of positions
+by offsets, each bounded below from block minima, visited in order of bound
+and skipped once no bound can lower a row (`scan._tiled_rows`, which also
+computes the individual tables); a block with few open rows runs them one
+by one.  The strict monotone bracket rows are the kernel on the table with
+``table[0] = inf``, the Hölder bracket row the lesser of the kernel on f and
+on its reversal; every max side is a reflection.  The Hölder envelopes and
+sandwich use ``min over j of f[j] + d(j, i)``, with d(j, i) the cheapest
+path from node j to node i through grid nodes, paying ``phi[|u-v|]`` per
+step u -> v.  On a table certified subadditive and nondecreasing whose
+subadditive slack exceeds the rounding of the one-step row ``min over j of
+f[j] + phi[|j-i|]``, an O(N) certificate proves that row the envelope and
+gives a path's root from it; every other table takes label setting,
+stopping once no label can be undercut.  The kernels compute values only;
+each operator returns through `_envelope`, which makes every zero +0.0 and
+raises OverflowError past the double range.  The brackets check their table
 hypotheses with the subadditivity scans of `error_envelopes`, the
 companion table psi on the right; no table is scanned here.
 """
@@ -97,19 +97,20 @@ _TILE_ROWS = 16
 @np.errstate(over="ignore")  # an inf sum never undercuts a finite one
 def _forward_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
     """``min over j >= i of v[j] + table[j-i]`` for every i, with the loop's
-    values.  A linear table, ``table[k] = fl((k+s) * c)`` (`_linear_shift`),
+    values.  A linear table, ``table[k] = fl(k * c)`` for k >= 1 (`_linear`),
     takes the O(N) `_forward_linear` when its candidates are few.  Otherwise
     `_settled_rows` (with the rounding test on a linear table) settles what
     it can; the open rows of a block of ``_SIDE`` rows that holds at least
     ``_TILE_ROWS`` of them are evaluated by `_tiled_rows`, the others one
-    by one.  A sum past the double range is inf.  Callers check the result,
-    as half of a two-sided row may be inf where the whole row is finite."""
+    by one.  A sum past the double range is inf, and so is the last row
+    when ``table[0]`` is.  Callers check the result, as half of a two-sided
+    row may be inf where the whole row is finite."""
     n = len(v)
-    s = _linear_shift(table, n)
-    out = None if s is None else _forward_linear(v, table, s)
+    linear = _linear(table, n)
+    out = _forward_linear(v, table) if linear else None
     if out is not None:
         return out
-    out, settled = _settled_rows(v, table, s)  # fresh: open rows are overwritten
+    out, settled = _settled_rows(v, table, linear)  # fresh: open rows are overwritten
     rows = np.flatnonzero(~settled)
     block = rows // _SIDE
     tiled = (np.bincount(block) >= _TILE_ROWS)[block]
@@ -121,17 +122,11 @@ def _forward_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # a ramp past the double range is not the table
-def _linear_shift(table: np.ndarray, n: int) -> int | None:
-    """s when ``table[k] == fl((k+s) * c)`` for every k in ``1-s .. n-1``,
-    with ``c = table[1-s]``: s = 0 for an envelope table (``table[0]`` free),
-    s = 1 for the shifted table ``sigma[1:]`` of the strict rows.  None when
-    neither holds or when n < 2."""
-    if n < 2:
-        return None
-    for s in (0, 1):
-        if np.array_equal(np.arange(1.0, n + s) * table[1 - s], table[1 - s : n]):
-            return s
-    return None
+def _linear(table: np.ndarray, n: int) -> bool:
+    """Whether n >= 2 and ``table[k] == fl(k * table[1])`` for k = 1 ..
+    n-1.  ``table[0]`` is free, so the strict table, whose ``table[0]`` is
+    inf, is linear when the envelope table is."""
+    return n >= 2 and np.array_equal(np.arange(1.0, n) * table[1], table[1:n])
 
 
 def _two_sum(a, b):
@@ -155,65 +150,67 @@ def _two_product(a, b):
 
 
 @np.errstate(over="ignore")  # an inf sum never undercuts a finite one
-def _settled_rows(v: np.ndarray, table: np.ndarray, s: int | None = None):
+def _settled_rows(v: np.ndarray, table: np.ndarray, linear: bool = False):
     """``(out, settled)`` for the rows of `_forward_min`: where ``settled[i]``,
-    ``out[i]`` is row i's minimum, elsewhere it is the row's nearest
-    candidate ``fl(v[i] + table[0])``.
+    ``out[i]`` is row i's minimum, elsewhere it is the lesser of the row's
+    two nearest candidates, ``fl(v[i] + table[0])`` and
+    ``fl(v[i+1] + table[1])``.
 
-    Every other j in row i has offset ``j - i > 0``, so its sum is at least
-    ``M[i] + min(table[1:N])`` exactly, where M[i] is the least v[j] over
-    j > i.  Rounding is monotone, so the rounded sum is at least
-    ``fl(M[i] + min(table[1:N]))``.  When the nearest candidate is at most
-    that, it is a least element of the row.  Given the shift s of a linear
-    table, a row that `_rounding_rows` settles takes the lesser of the
-    nearest candidate and the minimum it proves, which covers the rest of
-    the row.
+    Every other j in row i has offset ``j - i >= 2``, so its sum is at least
+    ``M[i] + min(table[2:N])`` exactly, where M[i] is the least v[j] over
+    j >= i+2.  Rounding is monotone, so the rounded sum is at least
+    ``fl(M[i] + min(table[2:N]))``.  When the nearer candidate is at most
+    that, it is a least element of the row.  This settles every row whose
+    diagonal undercuts the rest and, on the strict table, whose diagonal is
+    inf, every row whose next sum does; its last row, empty there, is inf.
+    On a linear table, a row that `_rounding_rows` settles takes the lesser
+    of the nearer candidate and the minimum it proves, which covers the rest
+    of the row.
     """
     n = len(v)
     near = v + table[0]
+    np.minimum(near[:-1], v[1:] + table[1:2], out=near[:-1])  # a slice: N may be 1
     bound = np.full(n, np.inf)
-    np.minimum.accumulate(v[:0:-1], out=bound[-2::-1])
-    bound += table[1:n].min(initial=np.inf)
+    np.minimum.accumulate(v[:1:-1], out=bound[-3::-1])
+    bound += table[2:n].min(initial=np.inf)
     settled = near <= bound
-    if s is not None:
-        cand, ok = _rounding_rows(v, table, s)
-        m = len(ok)
-        np.minimum(near[:m], cand, out=near[:m], where=ok)
-        settled[:m] |= ok
+    if linear:
+        cand, ok = _rounding_rows(v, table)
+        np.minimum(near[:-1], cand, out=near[:-1], where=ok)
+        settled[:-1] |= ok
     return near, settled
 
 
-def _ramp_sums(v: np.ndarray, c: float, s: int):
-    """``(p, e, hi, lo, r)`` with ``k * c = p[k] + e[k]`` for k = 0 .. N and
-    ``v[j] + (j+s) * c = hi[j] + lo[j] + r[j]``, all exactly, where
+def _ramp_sums(v: np.ndarray, c: float):
+    """``(p, e, hi, lo, r)`` with ``k * c = p[k] + e[k]`` for k = 0 .. N-1
+    and ``v[j] + j * c = hi[j] + lo[j] + r[j]``, all exactly, where
     ``hi = fl(hi + lo)`` and r[j], the rounding of the low parts' sum, is
     zero unless that sum spans more than 106 bits.  Exact while c is 0 or
     at least 2^-969 and no value overflows (`_two_product`)."""
-    n = len(v)
-    p, e = _two_product(np.arange(n + 1.0), c)
-    a, b = _two_sum(v, p[s : n + s])
-    b, r = _two_sum(b, e[s : n + s])
+    p, e = _two_product(np.arange(len(v) * 1.0), c)
+    a, b = _two_sum(v, p)
+    b, r = _two_sum(b, e)
     hi, lo = _two_sum(a, b)
     return p, e, hi, lo, r
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite quantity settles no row
-def _rounding_rows(v: np.ndarray, table: np.ndarray, s: int):
-    """``(cand, ok)`` for the rows i = 0 .. N-2+s of `_forward_min` on a
-    table with ``table[k] = fl((k+s) * c)`` for k >= 1-s: where ``ok[i]``,
-    ``cand[i]`` is ``min over j >= i+1-s of fl(v[j] + table[j-i])``.  This
-    is Ziv's rounding test, made exact with Dekker's products and sums.
+def _rounding_rows(v: np.ndarray, table: np.ndarray):
+    """``(cand, ok)`` for the rows i = 0 .. N-2 of `_forward_min` on a table
+    with ``table[k] = fl(k * c)`` for k >= 1: where ``ok[i]``, ``cand[i]``
+    is ``min over j > i of fl(v[j] + table[j-i])``.  This is Ziv's rounding
+    test, made exact with Dekker's products and sums.
 
-    With `_ramp_sums`, ``table[k] = p[k+s]`` lies within E of
-    ``(k+s) * c``, E the largest |e| over the offsets ``k + s = 1 ..
-    N-1-i+s`` that row i uses.  So every exact sum of row i is
+    With `_ramp_sums`, ``table[k] = p[k]`` lies within E of ``k * c``, E
+    the largest |e| over the offsets ``k = 1 .. N-1-i`` that row i uses.
+    So every exact sum of row i over j > i is
     ``v[j] + table[j-i] >= W[j] - i*c - E``, where
-    ``W[j] = v[j] + (j+s)*c = hi[j] + lo[j] + r[j]``.  Since
+    ``W[j] = v[j] + j*c = hi[j] + lo[j] + r[j]``.  Since
     ``hi = fl(hi + lo)`` and rounding is monotone, the lexicographic order
     of (hi, lo) is the order of hi + lo; j0, the lexicographic argmin over
-    ``j >= i+1-s``, therefore minimizes hi + lo there, and every sum of the
-    row is at least ``L = hi[j0] + lo[j0] - p[i] - e[i] - E - R``,
-    R = max |r|.  The row's minimum m is the rounded least sum, so
+    j > i, therefore minimizes hi + lo there, and every such sum is at
+    least ``L = hi[j0] + lo[j0] - p[i] - e[i] - E - R``, R = max |r|.
+    Their minimum m is the rounded least sum, so
     ``fl(L) <= m <= cand[i] = fl(v[j0] + table[j0-i])``, the loop's own sum
     at j0.  With g half the gap from cand[i] down to the next double,
     ``L > cand[i] - g`` gives ``fl(L) >= cand[i]``, hence ``m = cand[i]``.
@@ -226,22 +223,22 @@ def _rounding_rows(v: np.ndarray, table: np.ndarray, s: int):
     makes every d NaN through R).
     """
     n = len(v)
-    rows = np.arange(n - 1 + s)
-    none = v[: len(rows)], np.zeros(len(rows), dtype=bool)
-    c = float(table[1 - s])
+    rows = np.arange(n - 1)
+    none = v[:-1], np.zeros(n - 1, dtype=bool)
+    c = float(table[1])
     if 0.0 < c < 2.0**-969:
         return none
-    p, e, hi, lo, r = _ramp_sums(v, c, s)
-    # j0[i]: the lexicographic argmin of (hi, lo) over j >= i + 1 - s
+    p, e, hi, lo, r = _ramp_sums(v, c)
+    # j0[i]: the lexicographic argmin of (hi, lo) over j > i
     order = np.lexsort((lo, hi))
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    j0 = order[np.minimum.accumulate(rank[::-1])[::-1][1 - s :]]
+    j0 = order[np.minimum.accumulate(rank[::-1])[::-1][1:]]
     cand = v[j0] + table[j0 - rows]
     x, y = _two_sum(hi[j0], -p[rows])
     x, z = _two_sum(x, -cand)
     half_gap = 0.5 * (cand - np.nextafter(cand, -np.inf))
-    big_e = np.maximum.accumulate(np.abs(e[1 : n + s]))[n - 2 + s - rows]
+    big_e = np.maximum.accumulate(np.abs(e[1:]))[n - 2 - rows]
     terms = (x, z, y, lo[j0], -e[rows], -big_e, -np.abs(r).max(), half_gap)
     d = sum(terms)
     if not np.isfinite(d).all():
@@ -251,35 +248,34 @@ def _rounding_rows(v: np.ndarray, table: np.ndarray, s: int):
 
 
 @np.errstate(over="ignore")  # a non-finite quantity declines the call
-def _forward_linear(v: np.ndarray, sigma: np.ndarray, s: int) -> np.ndarray | None:
-    """`_forward_min` in O(N), N >= 2, when ``sigma[k] == fl((k+s) * c)`` for
-    k >= 1-s, ``c = sigma[1-s]`` (`_linear_shift`); None when candidates are
-    many or the rounding bound leaves the double range.
+def _forward_linear(v: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
+    """`_forward_min` in O(N), N >= 2, when ``sigma[k] == fl(k * c)`` for
+    k >= 1, ``c = sigma[1]`` (`_linear`); None when candidates are many or
+    the rounding bound leaves the double range.
 
     Why the values are the loop's: row i is the least rounded sum
     ``fl(v[j] + sigma[j-i])``.  Rounding is monotone, so that is fl of the
     exact least sum, and any subset of j holding an exact argmin gives the
-    same value.  The diagonal ``v[i] + sigma[0]`` is always evaluated; the
-    part over j > i is found from ``w[j] = fl(v[j] + fl((j+s) * c))`` as
-    follows.
+    same value.  The diagonal ``v[i] + sigma[0]`` is always evaluated, inf
+    if it overflows or sigma[0] is inf; the part over j > i is found from
+    ``w[j] = fl(v[j] + fl(j * c))`` as follows.
 
     With u = 2^-53 and eta = 2^-1074 every rounding errs by at most
-    ``u*|x| + eta``, and ``j + s <= N``, so the exact ``v[j] + sigma[j-i]``
+    ``u*|x| + eta``, and ``j < N``, so the exact ``v[j] + sigma[j-i]``
     is within ``4u*(V + N*c) + 3*eta`` of ``w[j] - i*c``, where
-    V = max |v|.  If j* is an exact argmin of row i and m the argmin of w
-    over j > i, then ``w[j*] - i*c - B <= v[j*] + sigma[j*-i] <=
+    V = max |v|.  If j* is an exact argmin of row i over j > i and m the
+    argmin of w there, then ``w[j*] - i*c - B <= v[j*] + sigma[j*-i] <=
     v[m] + sigma[m-i] <= w[m] - i*c + B``, hence ``w[j*] <= M[i] + 2B`` with
-    M[i] the least w[j] over j > i.  ``B = 2^-50 * (V + sigma[0] + N*c) +
-    2^-1072`` holds that bound with room for the rounding of B itself and of
-    the threshold ``fl(M[i] + 2B)``.  M is nondecreasing in i, so the rows
+    M[i] the least w[j] over j > i.  ``B = 2^-50 * (V + N*c) + 2^-1072``
+    holds that bound with room for the rounding of B itself and of the
+    threshold ``fl(M[i] + 2B)``.  M is nondecreasing in i, so the rows
     admitting j are one run ending at j - 1, found by one `searchsorted` per
-    j.
+    j.  Every row but the last has a candidate; the last is its diagonal.
     """
     n = len(v)
-    c = sigma[1 - s]
     w = v + sigma[:n]  # w[0] is never a candidate
-    bound = 2.0**-50 * (_magnitude(v) + float(sigma[0]) + n * float(c)) + 2.0**-1072
-    if not np.isfinite(bound):  # else no w[j] and no v[i] + sigma[0] overflows
+    bound = 2.0**-50 * (_magnitude(v) + n * float(sigma[1])) + 2.0**-1072
+    if not np.isfinite(bound):  # else no w[j] with j >= 1 overflows
         return None
     # thr[i] = fl(min(w[i+1:]) + 2B) for rows i = 0..n-2, nondecreasing
     thr = np.empty(n - 1)
@@ -307,14 +303,6 @@ def _forward_linear(v: np.ndarray, sigma: np.ndarray, s: int) -> np.ndarray | No
     del k
     out = v + sigma[0]
     np.minimum.at(out, rows, vals)
-    return out
-
-
-def _strict_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``min over j > i of v[j] + table[j-i]``, ``v[-1]`` for the empty last
-    row: row i of `_forward_min` on ``v[1:]`` and ``table[1:]``."""
-    out = v.copy()
-    out[:-1] = _forward_min(v[1:], table[1:])
     return out
 
 
@@ -574,9 +562,10 @@ def monotone_bracket(
     """Bracket a monotone-within-phi function by two psi-monotone functions.
 
     ``lower[i] = max over j < i of f[j] - sigma[i-j]`` and
-    ``upper[i] = min over j > i of f[j] + sigma[j-i]``.  The strict ranges
-    are empty at the ends, so ``lower[0] = f[0]`` and ``upper[-1] = f[-1]``
-    by convention and psi-membership is asserted away from those nodes.
+    ``upper[i] = min over j > i of f[j] + sigma[j-i]``: the envelope rows on
+    the strict table, sigma with ``sigma[0] = inf``.  The strict ranges are
+    empty at the ends, so ``lower[0] = f[0]`` and ``upper[-1] = f[-1]`` by
+    convention and psi-membership is asserted away from those nodes.
 
     Preconditions (checked, rejected with the violating witness): f passes
     the phi-monotone check, and the negated table passes the psi-monotone
@@ -600,10 +589,12 @@ def monotone_bracket(
         raise PreconditionError(
             "negated error table is not monotone within the companion table", w
         )
-    sig = _sigma_table(f, phi)
-    lower = _envelope(-_strict_min(-f.values[::-1], sig)[::-1])
-    upper = _envelope(_strict_min(f.values, sig))
-    return BracketPair(SampledFn(f.grid, lower), SampledFn(f.grid, upper))
+    strict = _sigma_table(f, phi).copy()
+    strict[0] = np.inf  # offset 0 left out: each half's empty row is inf
+    fv = f.values
+    lower, upper = _backward_max(fv, strict), _forward_min(fv, strict)
+    lower[0], upper[-1] = fv[0], fv[-1]
+    return BracketPair(*(SampledFn(f.grid, _envelope(x)) for x in (lower, upper)))
 
 
 def holder_bracket(

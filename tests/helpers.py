@@ -321,8 +321,8 @@ def record_settled_rows(monkeypatch) -> list[np.ndarray]:
     test = function_envelopes._settled_rows
     masks: list[np.ndarray] = []
 
-    def recording(v, table, *shift):
-        near, settled = test(v, table, *shift)
+    def recording(v, table, linear=False):
+        near, settled = test(v, table, linear)
         masks.append(settled)
         return near, settled
 

@@ -34,10 +34,9 @@ from approxmono.function_envelopes import (
     _CANDIDATES_PER_NODE,
     _forward_linear,
     _forward_min,
-    _linear_shift,
+    _linear,
     _ramp_sums,
     _rounding_rows,
-    _strict_min,
     _two_sided_min,
 )
 from helpers import (
@@ -663,6 +662,29 @@ def settle_and_loop(v, table):
         return _forward_min(v, table)
 
 
+def strict_table(table):
+    """A copy of the table with ``table[0] = inf``, as `monotone_bracket`
+    builds it, so that the kernel's rows leave out offset 0."""
+    strict = np.array(table, dtype=float)
+    strict[0] = np.inf
+    return strict
+
+
+def strict_rows(v, table):
+    """``min over j > i of v[j] + table[j-i]``, ``v[-1]`` for the empty last
+    row: the kernel on the strict table, as the bracket's upper half."""
+    out = _forward_min(v, strict_table(table))
+    out[-1] = v[-1]
+    return out
+
+
+def with_strict_node(v, table):
+    """The strict rows of the shifted pair (v, table), ``min over j >= i of
+    v[j] + table[j-i]``, as rows of the kernel: one node prepended, which
+    only the infinite diagonal meets."""
+    return np.concatenate([[0.0], v]), np.concatenate([[np.inf], table])
+
+
 @st.composite
 def mirror_case(draw):
     """(f, phi) with phi[0] = 0: dyadic, non-dyadic, small-integer (many
@@ -834,10 +856,11 @@ class TestLinearSigmaKernel:
     def test_bit_equal_to_loop(self, case):
         kind, v, sigma, skip = case
         want = loop_forward_min(v, sigma, skip) + 0.0
-        got = _forward_min(v, sigma) if skip == 0 else _strict_min(v, sigma)
+        got = _forward_min(v, sigma) if skip == 0 else strict_rows(v, sigma)
         assert same_bits(got + 0.0, want)
-        s = _linear_shift(sigma, len(v))
-        fast = None if s is None else _forward_linear(v, sigma, s)
+        table = sigma if skip == 0 else strict_table(sigma)
+        assert _linear(table, len(v))
+        fast = _forward_linear(v, table)
         n = len(v)
         if kind == "plateau" and n * (n - 1) // 2 > _CANDIDATES_PER_NODE * n:
             assert fast is None  # every pair ties: the loop must take over
@@ -845,7 +868,7 @@ class TestLinearSigmaKernel:
     def test_nonlinear_sigma_falls_back(self):
         v = np.array([0.0, 1.0, -1.0, 2.0])
         sigma = np.array([0.0, 1.0, 1.5, 2.0])
-        assert _linear_shift(sigma, len(v)) is None
+        assert not _linear(sigma, len(v))
         assert same_bits(_forward_min(v, sigma), loop_forward_min(v, sigma, 0))
 
     @pytest.mark.parametrize(
@@ -861,11 +884,11 @@ class TestLinearSigmaKernel:
         ],
     )
     def test_negative_zero_table_is_linear(self, v, sigma):
-        # c = +0.0 with -0.0 further out, as a shifted table sigma[1:] can
-        # hold: its values are linear, so the O(N) path runs
+        # c = +0.0 with -0.0 further out: its values are linear, so the O(N)
+        # path runs
         v, sigma = np.array(v), np.array(sigma)
-        assert _linear_shift(sigma, len(v)) == 0
-        fast = _forward_linear(v, sigma, 0)
+        assert _linear(sigma, len(v))
+        fast = _forward_linear(v, sigma)
         assert fast is not None
         assert same_bits(fast + 0.0, loop_forward_min(v, sigma, 0) + 0.0)
 
@@ -874,16 +897,28 @@ class TestLinearSigmaKernel:
         [
             ([0.0, 1.5e308, 0.0], 0.6e308, 0.0),  # v[j] + j*c overflows
             ([1.7e308] + [-1.7e308] * 19, 5e306, 0.0),  # only max|v| + N*c does
-            ([1e308, 0.0, 0.0], 1.0, 1e308),  # the diagonal v[i] + sigma[0] does
         ],
     )
     def test_overflow_falls_back(self, v, c, sigma0):
         v = np.array(v)
         sigma = np.arange(len(v)) * c
         sigma[0] = sigma0
-        assert _linear_shift(sigma, len(v)) == 0
-        assert _forward_linear(v, sigma, 0) is None
+        assert _linear(sigma, len(v))
+        assert _forward_linear(v, sigma) is None
         assert same_bits(_forward_min(v, sigma), loop_forward_min(v, sigma, 0))
+
+    @pytest.mark.parametrize("sigma0", [1e308, np.inf])
+    def test_infinite_diagonal_is_accepted(self, sigma0):
+        # the bound covers only the sums past the diagonal, which is summed
+        # as the loop sums it: v[0] + sigma[0] overflows, or sigma[0] is the
+        # strict table's inf, and only the last row keeps its diagonal
+        v = np.array([1e308, 0.0, 0.0])
+        sigma = np.arange(3.0)
+        sigma[0] = sigma0
+        fast = _forward_linear(v, sigma)
+        assert fast is not None
+        assert same_bits(fast, loop_forward_min(v, sigma, 0))
+        assert same_bits(fast[:2], np.array([1.0, 1.0]))
 
     def test_power_table_skips_the_loop(self, monkeypatch):
         n = 5000
@@ -909,8 +944,8 @@ class TestLinearSigmaKernel:
         assert np.array_equal(out.values, f.values)
 
     def test_two_node_bracket(self):
-        # each strict row runs the kernel on one node, below the two nodes
-        # the linear kernel needs
+        # the strict rows run on two nodes, and `_linear` accepts the strict
+        # table [inf, 0.5], whose offset 0 is free
         phi = efn([0.0, 0.5])
         for vals in ([0.0, 0.25], [1.0, 0.5], [-0.0, 0.0]):
             f = sfn(vals)
@@ -933,11 +968,10 @@ class TestLinearSigmaKernel:
         alpha = absolutely_subadditive_envelope(phi).values
         assert same_bits(pair.upper.values, loop_forward_min(f.values, alpha, 1 - n))
 
-
     def test_strict_rows_of_a_non_envelope_member_skip_the_loop(self, monkeypatch):
         # half a walk's envelope is a member but no envelope: the strict
-        # rows' shifted table sigma[1:] = fl((k+1)*c) leaves few candidates,
-        # so both bracket halves take the linear kernel
+        # table, sigma with an infinite diagonal, leaves few candidates, so
+        # both bracket halves take the linear kernel
         n = 5000
         step = 1.0 / (n - 1)
         phi = power_error(PowerErrorSpec(1.0, 1.0), step, n)
@@ -956,12 +990,14 @@ class TestLinearSigmaKernel:
 
 @st.composite
 def rounding_case(draw):
-    """(v, table, s) with ``table[k] = fl((k+s) * c)``, on which the
-    candidate kernel would mostly decline.  Kinds: the strict (s = 1) or
-    envelope (s = 0) rows of the monotone envelope of a walk or a wave under
-    the linear sigma of ``power:eps,p``, p in {1, 1.5, 2}; the same scaled to
-    magnitudes near 1e308; quarter-integer ramps with exact ties; and ±0.0
-    values on a ramp, so that candidates vanish."""
+    """(v, table) with ``table[k] = fl(k * c)`` for k >= 1, on which the
+    candidate kernel would mostly decline.  Kinds: the strict (s = 1, the
+    table's offset 0 inf) or envelope (s = 0) rows of the monotone envelope
+    of a walk or a wave under the linear sigma of ``power:eps,p``, p in
+    {1, 1.5, 2}; the same scaled to magnitudes near 1e308; quarter-integer
+    ramps with exact ties; and ±0.0 values on a ramp, so that candidates
+    vanish.  A strict case is drawn as its shifted pair, ``fl((k+1) * c)``,
+    and given its infinite diagonal by `with_strict_node`."""
     kind = draw(st.sampled_from(["walk", "wave", "huge", "ties", "zeros"]))
     s = draw(st.sampled_from([0, 1]))
     n = draw(st.integers(2, 300))
@@ -979,7 +1015,8 @@ def rounding_case(draw):
         else:
             f = np.cumsum(rng.normal(size=m)) / np.sqrt(m)
         member = monotone_lower_envelope(sfn(scale * f, step=step), efn(sigma, step))
-        return member.values[s:], sigma[s:], s
+        v, table = member.values[s:], sigma[s:]
+        return with_strict_node(v, table) if s else (v, table)
     c = 0.25
     table = np.arange(s, n + s) * c
     if s == 0:
@@ -988,21 +1025,22 @@ def rounding_case(draw):
         v = c * (rng.integers(-2, 3, n) - np.arange(n))
     else:
         v = rng.choice([0.0, -0.0, c, -c], n) - (np.arange(n) + s) * c
-    return v, table, s
+    return with_strict_node(v, table) if s else (v, table)
 
 
 class TestRoundingTest:
     """`_rounding_rows` settles a row of a linear table only with the loop's
-    bits; the proof is in its docstring.  The rows built on it, the strict
-    (start 1) and envelope (start 0) ones, keep the loop's bits too."""
+    bits; the proof is in its docstring.  The rows built on it, on the
+    strict table (offset 0 inf) and the envelope table, keep the loop's bits
+    too."""
 
     @given(rounding_case())
     @settings(max_examples=400, deadline=None)
     def test_settled_rows_equal_the_loop(self, case):
-        v, table, s = case
-        cand, ok = _rounding_rows(v, table, s)
-        # the linear part of row i runs over j >= i + 1 - s
-        want = loop_forward_min(v, table, 1 - s)[: len(ok)]
+        v, table = case
+        cand, ok = _rounding_rows(v, table)
+        # the linear part of row i runs over j > i
+        want = loop_forward_min(v, table, 1)[: len(ok)]
         assert same_bits(cand[ok], want[ok])
         full = loop_forward_min(v, table, 0) + 0.0
         assert same_bits(settle_and_loop(v, table) + 0.0, full)
@@ -1015,7 +1053,7 @@ class TestRoundingTest:
         # settled on the wrong side of the band would take the candidate
         c = (1.0 + 3 * 2.0**-52) / 4
         v = 1.5 - np.arange(1, 5) * c + np.array([-3, -1, 3, -1]) * 2.0**-53
-        return v, np.arange(1, 5) * c, 1
+        return with_strict_node(v, np.arange(1, 5) * c)
 
     @staticmethod
     def _unnormalized_edge():
@@ -1026,13 +1064,13 @@ class TestRoundingTest:
         v = np.array([100.0] * 5 + [2.0**-53, -float.fromhex("0x1.596877ee0a31ap-1")])
         table = np.arange(7) * c
         table[0] = 0.0
-        return v, table, 0
+        return v, table
 
     @pytest.mark.parametrize("edge", ["_band_edge", "_unnormalized_edge"])
     def test_edge_rows_equal_the_loop(self, edge):
-        v, table, s = getattr(self, edge)()
-        cand, ok = _rounding_rows(v, table, s)
-        want = loop_forward_min(v, table, 1 - s)[: len(ok)]
+        v, table = getattr(self, edge)()
+        cand, ok = _rounding_rows(v, table)
+        want = loop_forward_min(v, table, 1)[: len(ok)]
         assert same_bits(cand[ok], want[ok])
         full = loop_forward_min(v, table, 0) + 0.0
         assert same_bits(settle_and_loop(v, table) + 0.0, full)
@@ -1041,14 +1079,17 @@ class TestRoundingTest:
     def test_zero_candidate_never_settles(self, s):
         # W[j] = v[j] + (j+s)*c is 3c at every node, so row i's candidate is
         # (3-i)*c, exactly: every row settles but row 3, whose candidate is
-        # zero and has no half-gap below it
+        # zero and has no half-gap below it; s = 1 takes the strict table
         c, n = 0.25, 8
         table = np.arange(s, n + s) * c
-        cand, ok = _rounding_rows(3 * c - table, table, s)
+        zeros = np.array([0.0, -0.0, -0.0, 0.0])
+        cases = [(3 * c - table, table), (zeros, zeros)]
+        if s:
+            cases = [with_strict_node(*case) for case in cases]
+        cand, ok = _rounding_rows(*cases[0])
         assert cand[3] == 0.0 and not ok[3]
         assert ok[:3].all() and ok[4:].all()
-        zeros = np.array([0.0, -0.0, -0.0, 0.0])
-        assert not _rounding_rows(zeros, zeros, s)[1].any()
+        assert not _rounding_rows(*cases[1])[1].any()
 
     @pytest.mark.parametrize("p, share", [(1.0, 0.25), (1.5, 0.9), (2.0, 0.9)])
     def test_member_rows_settle(self, p, share):
@@ -1060,7 +1101,7 @@ class TestRoundingTest:
         member = monotone_lower_envelope(f, phi).values
         sigma = subadditive_envelope(phi).values
         for v in (member, 0.0 - member[::-1]):  # the upper and lower halves
-            cand, ok = _rounding_rows(v[1:], sigma[1:], 1)
+            cand, ok = _rounding_rows(v, strict_table(sigma))
             assert ok.mean() >= share
             want = loop_forward_min(v[1:], sigma[1:], 0)
             assert same_bits(cand[ok], want[ok])
@@ -1072,8 +1113,9 @@ class TestRoundingTest:
         v = np.array([0.5, -0.25, 0.0, 0.75]) * (1.0 if c < 1 else 1e300)
         for s in (0, 1):
             table = np.arange(s, len(v) + s) * c
-            assert not _rounding_rows(v, table, s)[1].any()
-            assert same_bits(_forward_min(v, table), loop_forward_min(v, table, 0))
+            w, table = with_strict_node(v, table) if s else (v, table)
+            assert not _rounding_rows(w, table)[1].any()
+            assert same_bits(_forward_min(w, table), loop_forward_min(w, table, 0))
 
     @pytest.mark.parametrize("s", [0, 1])
     def test_ramp_sums_are_exact(self, s):
@@ -1086,20 +1128,22 @@ class TestRoundingTest:
             (np.zeros(n), 0.0, False),
         ]
         for v, c, rounded in cases:
-            p, e, hi, lo, r = _ramp_sums(v, c, s)
+            v = np.concatenate([[0.0], v]) if s else v  # the strict rows' node 0
+            p, e, hi, lo, r = _ramp_sums(v, c)
             fc = Fraction(c)
-            for k in range(n + 1):
+            assert len(p) == n + s
+            for k in range(n + s):
                 assert Fraction(p[k]) + Fraction(e[k]) == k * fc
-            for j in range(n):
+            for j in range(n + s):
                 pair = Fraction(hi[j]) + Fraction(lo[j])
-                assert pair + Fraction(r[j]) == Fraction(v[j]) + (j + s) * fc
+                assert pair + Fraction(r[j]) == Fraction(v[j]) + j * fc
                 assert float(pair) == hi[j]  # normalized: hi = fl(hi + lo)
             assert r.any() == rounded
-            # table[k] = p[k+s], so e[k+s] is its rounding error, and E the
-            # largest of them over a row's offsets
-            for k, t in enumerate(np.arange(s, n + s) * c):
-                assert t == p[k + s]
-                assert (k + s) * fc - Fraction(t) == Fraction(e[k + s])
+            # table[k] = p[k] for k >= 1, so e[k] is its rounding error, and
+            # E the largest of them over a row's offsets
+            for k, t in enumerate(np.arange(n + s) * c):
+                assert t == p[k]
+                assert k * fc - Fraction(t) == Fraction(e[k])
 
 
 @st.composite
@@ -1140,7 +1184,7 @@ class TestSettledRows:
         if start == 0:
             got = settle_and_loop(v, table)
         elif start == 1:
-            got = _strict_min(v, table)
+            got = strict_rows(v, table)
         else:
             got = _two_sided_min(v, table)
         assert same_bits(got + 0.0, want)
@@ -1148,20 +1192,24 @@ class TestSettledRows:
     @pytest.mark.parametrize(
         "v, table, start",
         [
-            ([0.0, -0.5], [0.0, 0.25], 0),  # undercut at the next offset
-            ([0.0, 0.0, -1.0], [0.0, 0.5, 0.25], 1),  # the same past the strict start
+            ([0.0, -0.5], [0.0, 0.25], 0),  # the next offset wins: settles
+            ([0.0, 0.0, -1.0], [0.0, 0.5, 0.25], 1),  # strict, undercut at offset 2
             ([0.0, 0.0, -0.0], [0.0, 0.0, -0.0], 1),  # a ±0.0 tie past it: settles
             ([0.0, -0.0], [0.0, -0.0], 0),  # +0.0 nearest, -0.0 next: a tie, settles
+            ([0.0, 0.0, -1.0], [0.0, 0.5, 0.25], 0),  # undercut at offset 2
+            ([0.0, -1.0, 0.0], [0.0, 0.25, 0.5], 1),  # strict, offset 1 wins: settles
         ],
     )
     def test_nearest_candidate_undercut(self, v, table, start):
-        # a row stays open exactly when another candidate is strictly below
-        # its nearest one; the strict row is the kernel on v[1:] and table[1:]
+        # a row stays open exactly when a candidate past its two nearest is
+        # strictly below both; start 1 runs on the strict table, whose
+        # nearest candidate is the infinite diagonal
         v, table = np.array(v), np.array(table)
         want = loop_forward_min(v, table, start)
-        near, settled = function_envelopes._settled_rows(v[start:], table[start:])
+        rows = table if start == 0 else strict_table(table)
+        near, settled = function_envelopes._settled_rows(v, rows)
         assert settled[0] == (near[0] == want[0])
-        got = settle_and_loop(v, table) if start == 0 else _strict_min(v, table)
+        got = settle_and_loop(v, table) if start == 0 else strict_rows(v, table)
         assert same_bits(got + 0.0, want + 0.0)
 
     def test_flat_member_bracket_runs_no_loop_row(self, monkeypatch):
@@ -1181,6 +1229,22 @@ class TestSettledRows:
         assert len(masks) == 4 and all(m.all() for m in masks)  # two rows per half
         alpha = absolutely_subadditive_envelope(phi).values
         assert same_bits(pair.upper.values, loop_holder_lower(member.values, alpha))
+
+    def test_increasing_bracket_on_a_concave_table_runs_no_loop_row(self, monkeypatch):
+        # the strict diagonal is inf and f increases, so each row's next node
+        # wins, upper[i] = f[i+1] + sigma[1]; on this concave table, which is
+        # not linear, only the settle test can skip the loop
+        masks = record_settled_rows(monkeypatch)
+        n = 500
+        step = 1.0 / (n - 1)
+        phi = power_error(PowerErrorSpec(0.5, 0.5), step, n)
+        f = SampledFn(Grid(0.0, step, n), np.linspace(0.0, 1.0, n))
+        psi = ErrorFn(step, np.full(n, 2.0 * float(phi.values.max()) + 1.0))
+        pair = monotone_bracket(f, phi, psi)
+        assert len(masks) == 2 and all(m.all() for m in masks)  # one per half
+        lower, upper = loop_monotone_bracket(f.values, subadditive_envelope(phi).values)
+        assert same_bits(pair.lower.values, lower + 0.0)
+        assert same_bits(pair.upper.values, upper)
 
 
 @st.composite
@@ -1325,7 +1389,7 @@ class TestTiledRows:
         with mock.patch.object(function_envelopes, "_forward_linear", lambda *a: None):
             got = _forward_min(v, table)
         assert same_bits(got + 0.0, loop_forward_min(v, table, 0) + 0.0)
-        strict = _strict_min(v, table) + 0.0
+        strict = strict_rows(v, table) + 0.0
         assert same_bits(strict, loop_forward_min(v, table, 1) + 0.0)
         two = _two_sided_min(v, table) + 0.0
         assert same_bits(two, loop_forward_min(v, table, 1 - n) + 0.0)
