@@ -10,9 +10,9 @@ pairs can hold a row's minimum, and otherwise settles every row it can
 prove by Ziv's rounding test, made exact with Dekker's double-double
 products and sums.  The rows left open are evaluated on tiles of positions
 by offsets, each bounded below from block minima, visited in order of bound
-and skipped once no bound can lower a row (`scan._tiled_rows`, which also
-computes the individual tables); a block with few open rows runs them one
-by one.  The strict monotone bracket rows are the kernel on the table with
+and skipped once no bound can lower a row (`scan._tiled_rows`); a block
+with few open rows runs them one by one.
+The strict monotone bracket rows are the kernel on the table with
 ``table[0] = inf``, the Hölder bracket row the lesser of the kernel on f and
 on its reversal; every max side is a reflection.  The Hölder envelopes and
 sandwich use ``min over j of f[j] + d(j, i)``, with d(j, i) the cheapest
@@ -124,8 +124,8 @@ def _forward_min(v: np.ndarray, table: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore")  # a ramp past the double range is not the table
 def _linear(table: np.ndarray, n: int) -> bool:
     """Whether n >= 2 and ``table[k] == fl(k * table[1])`` for k = 1 ..
-    n-1.  ``table[0]`` is free, so the strict table, whose ``table[0]`` is
-    inf, is linear when the envelope table is."""
+    n-1.  ``table[0]`` is free: the strict table, inf there, is linear when
+    the envelope table is."""
     return n >= 2 and np.array_equal(np.arange(1.0, n) * table[1], table[1:n])
 
 
@@ -268,9 +268,11 @@ def _forward_linear(v: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
     v[m] + sigma[m-i] <= w[m] - i*c + B``, hence ``w[j*] <= M[i] + 2B`` with
     M[i] the least w[j] over j > i.  ``B = 2^-50 * (V + N*c) + 2^-1072``
     holds that bound with room for the rounding of B itself and of the
-    threshold ``fl(M[i] + 2B)``.  M is nondecreasing in i, so the rows
-    admitting j are one run ending at j - 1, found by one `searchsorted` per
-    j.  Every row but the last has a candidate; the last is its diagonal.
+    threshold ``thr[i] = fl(M[i] + 2B)``.  M and thr are nondecreasing in
+    i, so the rows admitting j are one run ending at j - 1, none if
+    ``w[j] > thr[j-1]``: a `searchsorted` per other j gives all pairs, in
+    order (zero signs too).  Every row but the last has a candidate; the
+    last is its diagonal.
     """
     n = len(v)
     w = v + sigma[:n]  # w[0] is never a candidate
@@ -281,12 +283,10 @@ def _forward_linear(v: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
     thr = np.empty(n - 1)
     np.minimum.accumulate(w[:0:-1], out=thr[::-1])
     thr += 2.0 * bound
-    # node j = 1..n-1 is a candidate for the count[j-1] rows before it
-    count = np.searchsorted(thr, w[1:])
+    # node j is a candidate for the count rows up to j - 1 when row j - 1 admits it
+    nodes = np.flatnonzero(w[1:] <= thr) + 1
+    count = nodes - np.searchsorted(thr, w[nodes])
     del w, thr
-    count -= np.arange(1, n)
-    np.minimum(count, 0, out=count)
-    np.negative(count, out=count)
     total = int(count.sum())
     if total > _CANDIDATES_PER_NODE * n:
         return None
@@ -295,9 +295,9 @@ def _forward_linear(v: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
     # pair t of node j's run has offset k = j - i = end[j] - t, end = cumsum
     k = np.repeat(np.cumsum(count, dtype=idx), count)
     k -= np.arange(total, dtype=idx)
-    rows = np.repeat(np.arange(1, n, dtype=idx), count)
+    rows = np.repeat(nodes.astype(idx), count)
     rows -= k
-    vals = np.repeat(v[1:], count)
+    vals = np.repeat(v[nodes], count)
     del count
     vals += sigma[k]
     del k

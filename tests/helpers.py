@@ -330,6 +330,34 @@ def record_settled_rows(monkeypatch) -> list[np.ndarray]:
     return masks
 
 
+def record_linear_pairs(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Swap numpy in `function_envelopes` for a stand-in whose
+    ``minimum.at`` records its ``(rows, sums)`` before applying them: each
+    `_forward_linear` call that keeps its O(N) path appends the candidate
+    pairs it evaluates, in the order it passes them."""
+    pairs: list[tuple[np.ndarray, np.ndarray]] = []
+
+    class Minimum:
+        def __call__(self, *args, **kwargs):
+            return np.minimum(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(np.minimum, name)
+
+        def at(self, out, rows, sums):
+            pairs.append((rows.copy(), sums.copy()))
+            np.minimum.at(out, rows, sums)
+
+    class Numpy:
+        minimum = Minimum()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(function_envelopes, "np", Numpy())
+    return pairs
+
+
 def record_row_tiles(monkeypatch) -> list[tuple[int, int]]:
     """Wrap the tiled row kernel's tile evaluation; each tile that
     `_forward_min` or the individual tables evaluate appends its first row

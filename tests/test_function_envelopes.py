@@ -56,6 +56,7 @@ from helpers import (
     rand_error,
     rand_fn,
     record_holder_paths,
+    record_linear_pairs,
     record_row_tiles,
     record_settled_rows,
     scan_check,
@@ -919,6 +920,42 @@ class TestLinearSigmaKernel:
         assert fast is not None
         assert same_bits(fast, loop_forward_min(v, sigma, 0))
         assert same_bits(fast[:2], np.array([1.0, 1.0]))
+
+    def test_node_at_its_threshold_is_a_candidate(self, monkeypatch):
+        # w[1] = v[1] + c equals row 0's threshold fl(min(w[1:]) + 2B)
+        # exactly (B = 1 here), so row 0 admits node 1 and its pair comes
+        # first, as the search of every node gives it; a strict test
+        # w[j] < thr[j-1] would drop it.  The rows keep the loop's bits
+        c = 0.25
+        v = np.array([2.0**50 - 1, 1.75, -0.5, 4.25])
+        sigma = np.arange(4) * c
+        w = v + sigma
+        bound = 2.0**-50 * (np.abs(v).max() + len(v) * c) + 2.0**-1072
+        assert bound == 1.0 and w[1] == w[1:].min() + 2.0 * bound
+        pairs = record_linear_pairs(monkeypatch)
+        fast = _forward_linear(v, sigma)
+        assert same_bits(fast, loop_forward_min(v, sigma, 0))
+        [(rows, sums)] = pairs
+        assert rows.tolist() == [0, 0, 1, 2]
+        assert same_bits(sums, np.array([2.0, 0.0, -0.25, 4.5]))
+
+    @pytest.mark.parametrize("c", [0.0, 0.25, 0.1])
+    @pytest.mark.parametrize("sigma0", [0.0, np.inf])
+    def test_steep_fall_has_one_candidate_per_row(self, monkeypatch, c, sigma0):
+        # w falls by at least 0.75 a node, far more than 2B, so every node
+        # but the last lies above its threshold: node N-1 is each row's only
+        # candidate, and the pairs are its N-1 sums
+        n = 300
+        rng = np.random.default_rng(300)
+        v = -np.cumsum(rng.uniform(1.0, 2.0, n))
+        sigma = np.arange(n) * c
+        sigma[0] = sigma0
+        pairs = record_linear_pairs(monkeypatch)
+        fast = _forward_linear(v, sigma)
+        assert same_bits(fast, loop_forward_min(v, sigma, 0))
+        [(rows, sums)] = pairs
+        assert rows.tolist() == list(range(n - 1))
+        assert same_bits(sums, v[-1] + sigma[:0:-1])
 
     def test_power_table_skips_the_loop(self, monkeypatch):
         n = 5000
